@@ -5,7 +5,7 @@ Conventions shared by every subcommand:
 * Reproducibility. ``--seed`` fixes every random draw. Precedence: the
   flag, then a ``seed=`` line in ``--config``, then the LATGAUSS_SEED
   environment variable, then the documented default 20240901. A re-run
-  with the same resolved options and ``--threads 1`` is byte-identical.
+  with the same resolved options is byte-identical.
 * Outputs. JSON documents carry a ``meta`` object and CSV tables a
   leading ``#`` comment line, both embedding the seed, a sha256 hash of
   the resolved options, and the tool version.
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import cdlp_sandwich, finite_blocklength
-from .codec import channel_params, codec_config, normalize_scale
+from .codec import channel_params, codec_config
 from .errors import LatgaussError, UsageError
 from .lattices import from_json, nld, scale_lattice, standard_lattice, to_json
 from .measures import (
@@ -251,7 +251,7 @@ def _build_codec(ns, lat, params, root):
     else:
         err_inv = inverse_error_function(lat, ns.eps, trials=ns.inv_trials,
                                          rng=root.child(1))
-        scale = normalize_scale(lat, params, ns.eps, err_inv)
+        scale = err_inv * params.sigma_eff
     config = codec_config(lat, scale, params, dither=dither,
                           dither_fine=fine, peak=peak, **peak_kw)
     return config, err_inv
@@ -521,11 +521,6 @@ def build_parser():
              f"{SEED_ENV} environment variable (flag wins over config file "
              f"wins over environment)")
     common.add_argument(
-        "--threads", type=int, default=1,
-        help="worker cap; 1 (default) is bit-exact across re-runs. The "
-             "computations are vectorized in-process, so higher values run "
-             "the same path and keep all integer counters identical")
-    common.add_argument(
         "--config", metavar="FILE",
         help="flat key=value file of long option names; explicit flags "
              "override file values")
@@ -784,8 +779,6 @@ def _finish_namespace(ns):
             except ValueError:
                 raise UsageError(f"{SEED_ENV} must be an integer, "
                                  f"got {env!r}")
-    if getattr(ns, "threads", 1) < 1:
-        raise UsageError("--threads must be at least 1")
 
 
 def run(argv=None) -> int:

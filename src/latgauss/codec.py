@@ -24,12 +24,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams, NonPositive
 from .lattices import Lattice, closest_point, scale_lattice
-from .measures import effective_noise_bounds, effective_noise_pdf  # noqa: F401
 from .rng import RngStream
 from .sampling import (
     check_nested,
     discrete_gaussian,
     sample_dither_discrete,
+    sample_indices,
     sample_normal,
 )
 
@@ -70,17 +70,6 @@ def channel_params(sigma_s2, sigma_w2) -> ChannelParams:
         alpha=alpha,
         sigma_eff2=sigma_s2 * sigma_w2 / (sigma_s2 + sigma_w2),
     )
-
-
-def normalize_scale(lat: Lattice, params: ChannelParams, eps, err_inv) -> float:
-    """Scale making the effective noise escape the Voronoi cell w.p. ~eps.
-
-    With err_inv an estimate of the inverse error function at eps, returns
-    s = err_inv * sigma_eff, so sigma_eff * err_inv(scaled lattice) = s holds.
-    """
-    if not err_inv > 0:
-        raise NonPositive("err_inv must be positive")
-    return float(err_inv) * params.sigma_eff
 
 
 @dataclass(frozen=True)
@@ -160,8 +149,7 @@ def encode(config: CodecConfig, rng: RngStream) -> Encoded:
     """Draw the dither (stream child 0) and the signal (child 1)."""
     t = draw_dither(config, rng.child(0))
     spec = discrete_gaussian(config.scaled, t, config.params.sigma_s)
-    u = rng.child(1).generator().random()
-    idx = min(int(np.searchsorted(spec.cum, u, side="right")), len(spec.cum) - 1)
+    idx = sample_indices(spec, rng.child(1), 1)[0]
     coords = spec.coords[idx]
     x = spec.points[idx]
     failure = False

@@ -85,8 +85,13 @@ def _tail_h(t):
     return -t + 0.5 * math.log(2 * math.e * t)
 
 
-def _solve_tail_t(n, log_target):
-    """Smallest t >= 1 with n * h(t) <= log_target (h strictly decreasing)."""
+def solve_tail_t(n, log_target):
+    """Smallest t >= 1 with n * h(t) <= log_target, h(t) = -t + log(2 e t)/2.
+
+    By the norm tail bound in the module docstring, the ball of radius
+    sigma * sqrt(2 n t) then misses at most exp(log_target) of the centered
+    Gaussian mass. h is strictly decreasing on t >= 1.
+    """
     if n * _tail_h(1.0) <= log_target:
         return 1.0
     lo, hi = 1.0, 2.0
@@ -139,7 +144,7 @@ def enumerate_masses(
         log_rho_c = centered.log_raw_sum + math.log1p(rel_tol)
         log_target = math.log(rel_tol / 4) + log_m0 - log_rho_c
         log_extra = log_rho_c - log_m0
-    t = _solve_tail_t(lat.n, log_target)
+    t = solve_tail_t(lat.n, log_target)
     radius = sigma * math.sqrt(2 * lat.n * t)
     coords, points = enumerate_coset(lat, r, radius, budget)
     if points.shape[0] == 0:
@@ -290,9 +295,42 @@ def flatness_factor(lat: Lattice, sigma, samples=512, seed=0) -> FlatnessBracket
     sob = qmc.Sobol(d=lat.n, scramble=True, seed=seed)
     u = sob.random(samples)
     cell = reduce_batch(lat, u @ lat.basis.T)
-    vals = batch_coset_masses(lat, cell, sigma, rel_tol=1e-9)
+    vals = batch_coset_stats(lat, cell, sigma, rel_tol=1e-9)["mass"]
     lower = float(np.abs(lat.volume * vals - 1.0).max())
     return FlatnessBracket(lower=lower, upper=upper, samples=samples)
+
+
+def padded_coset_support(lat: Lattice, rows, sigma, rel_tol=1e-9,
+                         budget=DEFAULT_ENUM_BUDGET, chunk=256):
+    """One certified support shared by D_{Lambda+r,sigma} for all rows r.
+
+    Rows must lie in the Voronoi cell (see reduce_batch), so their norms
+    are at most mu = covering_bound. The ball certified for a shift of
+    norm mu (as in enumerate_masses) is padded by mu, so each row keeps a
+    truncation of at most rel_tol of its mass.
+
+    Returns (coords, chunks): the support's integer coordinates and an
+    iterator of (a, b, d2) over row chunks a:b of at most `chunk` rows
+    (and near 8M entries of d2), d2[i, j] = ||rows[a + i] + x_j||^2.
+    """
+    mu = lat.covering_bound
+    centered = enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol / 2, budget)
+    log_m0 = -(mu**2) / (2 * sigma**2)
+    log_target = math.log(rel_tol / 4) + log_m0 - centered.log_raw_sum
+    t = solve_tail_t(lat.n, log_target)
+    radius = sigma * math.sqrt(2 * lat.n * t) + mu
+    scoords, spts = enumerate_coset(lat, np.zeros(lat.n), radius, budget)
+    sn2 = (spts**2).sum(axis=1)
+    chunk = max(1, min(chunk, (1 << 23) // max(1, len(sn2))))
+
+    def chunks():
+        for a in range(0, rows.shape[0], chunk):
+            b = min(a + chunk, rows.shape[0])
+            r = rows[a:b]
+            rn2 = (r**2).sum(axis=1)[:, None]
+            yield a, b, sn2[None, :] + 2.0 * (r @ spts.T) + rn2
+
+    return scoords, chunks()
 
 
 def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9,
@@ -301,31 +339,17 @@ def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9,
 
     For each row r of `shifts` (must already lie in the Voronoi cell, see
     reduce_batch) returns f_sigma(Lambda + r) and E[||X||^2] for
-    X ~ D_{Lambda+r,sigma}. One shared enumeration serves every row: the
-    support ball is padded by the covering-radius bound, so every row keeps
-    a certified truncation.
+    X ~ D_{Lambda+r,sigma}, over the shared padded_coset_support.
     """
     _check_sigma(sigma)
     shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
     if lat._fast is not None and lat._fast[0] == "Zn":
         return _zn_coset_stats(lat._fast[1], shifts, sigma, chunk)
-    mu = lat.covering_bound
-    centered = enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol / 2, budget)
-    log_m0 = -(mu**2) / (2 * sigma**2)
-    log_target = math.log(rel_tol / 4) + log_m0 - centered.log_raw_sum
-    t = _solve_tail_t(lat.n, log_target)
-    radius = sigma * math.sqrt(2 * lat.n * t) + mu
-    _, spts = enumerate_coset(lat, np.zeros(lat.n), radius, budget)
-    sn2 = (spts**2).sum(axis=1)
+    _, chunks = padded_coset_support(lat, shifts, sigma, rel_tol, budget, chunk)
     mass = np.empty(shifts.shape[0])
     power = np.empty(shifts.shape[0])
     norm = (2 * math.pi * sigma**2) ** (lat.n / 2)
-    chunk = max(1, min(chunk, (1 << 23) // max(1, len(sn2))))
-    for a in range(0, shifts.shape[0], chunk):
-        b = min(a + chunk, shifts.shape[0])
-        r = shifts[a:b]
-        rn2 = (r**2).sum(axis=1)[:, None]
-        d2 = sn2[None, :] + 2.0 * (r @ spts.T) + rn2
+    for a, b, d2 in chunks:
         e = -d2 / (2 * sigma**2)
         emax = e.max(axis=1, keepdims=True)
         w = np.exp(e - emax)
@@ -361,12 +385,6 @@ def _zn_coset_stats(c, shifts, sigma, chunk):
         mass[a:b] = np.exp(logs.sum(axis=1) - n * log_norm)
         power[a:b] = sj.sum(axis=1)
     return {"mass": mass, "power": power}
-
-
-def batch_coset_masses(lat: Lattice, shifts, sigma, rel_tol=1e-9,
-                       budget=DEFAULT_ENUM_BUDGET, chunk=256):
-    """f_sigma(Lambda + shift) per row; see batch_coset_stats."""
-    return batch_coset_stats(lat, shifts, sigma, rel_tol, budget, chunk)["mass"]
 
 
 def effective_noise_pdf(lat: Lattice, params, w, rel_tol=1e-9) -> float:

@@ -39,12 +39,13 @@ from .lattices import (
     scale_lattice,
     standard_lattice,
 )
-from .measures import batch_coset_stats, entropy_exact, enumerate_masses, mass_zero
+from .measures import batch_coset_stats, entropy_exact, mass_zero
 from .rng import DEFAULT_SEED, RngStream
 from .sampling import (
     batch_coset_sample,
     discrete_gaussian,
     sample_dither_discrete,
+    sample_indices,
     sample_normal,
 )
 
@@ -259,27 +260,14 @@ def nvnr(lat: Lattice, eps, trials=200_000, tol=1e-3, rng: RngStream = None) -> 
     return {"err_inv": err_inv, "mu": mu, "gamma": mu / TWO_PI_E}
 
 
-def _exact_coset_profile(scaled, t, sigma_s, rel=1e-11):
-    """Certified mass, exact conditional power and entropy for one dither."""
-    data = enumerate_masses(scaled, t, sigma_s, rel)
-    w = data.weights / data.weights.sum()
-    power = float((w * (data.points**2).sum(axis=1)).sum())
-    log_mass = data.log_raw_sum - (scaled.n / 2) * math.log(2 * math.pi * sigma_s**2)
-    entropy = data.log_raw_sum + power / (2 * sigma_s**2)
-    return math.exp(log_mass), power, entropy, data
-
-
 def dither_audit(config: CodecConfig, t, eps, trials, rng: RngStream) -> DitherAudit:
     """Measure one dither against the four goodness events."""
     scaled = config.scaled
     p = config.params
     n = scaled.n
     t = np.asarray(t, dtype=float)
-    mass, power, entropy, data = _exact_coset_profile(scaled, t, p.sigma_s)
-
     spec = discrete_gaussian(scaled, t, p.sigma_s)
-    u = rng.child(0).generator().random(trials)
-    idx = np.minimum(np.searchsorted(spec.cum, u, side="right"), len(spec.cum) - 1)
+    idx = sample_indices(spec, rng.child(0), trials)
     x = spec.points[idx]
     w = sample_normal(p.sigma_w, n, rng.child(1), trials=trials)
     chat = decode_batch(scaled, p.alpha * (x + w) - t)
@@ -290,20 +278,20 @@ def dither_audit(config: CodecConfig, t, eps, trials, rng: RngStream) -> DitherA
     gamma = err_inv**2 * config.lattice.volume ** (2.0 / n) / TWO_PI_E
     capacity = 0.5 * math.log1p(p.snr)
     gap = 0.5 * math.log(gamma) + 2 / math.sqrt(n) + 4 / n
-    rate = entropy / n
-    rel_power = power / p.sigma_s2
+    rate = spec.entropy / n
+    rel_power = spec.power / p.sigma_s2
     norm_power = rel_power / n
     return DitherAudit(
         t=t,
         err_rate=err_ci,
         avg_power=CIEstimate(p_hat=norm_power, lo=norm_power, hi=norm_power,
                              trials=0, seed=rng.seed),
-        mass=mass,
+        mass=spec.mass,
         rate=rate,
         pass_a=err_ci.hi <= 6 * eps,
         pass_b=abs(rel_power - n) <= 4 * math.sqrt(n),
         pass_c=rate >= capacity - gap,
-        pass_d=mass >= math.exp(-4.0) / scaled.volume,
+        pass_d=spec.mass >= math.exp(-4.0) / scaled.volume,
     )
 
 
@@ -451,7 +439,7 @@ def transmission_experiment(config: CodecConfig, trials, rng: RngStream,
     out = run_trials(config, t, rng, compare_escape=compare_escape)
     k = 1 if config.dither == "none" else min(8, trials)
     rates = [
-        _exact_coset_profile(config.scaled, t[i], config.params.sigma_s)[2] / n
+        discrete_gaussian(config.scaled, t[i], config.params.sigma_s).entropy / n
         for i in range(k)
     ]
     out["rate_proxy"] = float(np.mean(rates))

@@ -22,8 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NotNested
-from .lattices import DEFAULT_ENUM_BUDGET, Lattice, closest_point, decode_batch
-from .measures import enumerate_masses
+from .lattices import (
+    DEFAULT_ENUM_BUDGET,
+    Lattice,
+    closest_point,
+    decode_batch,
+    reduce_batch,
+)
+from .measures import enumerate_masses, padded_coset_support, solve_tail_t
 from .rng import RngStream
 
 DEFAULT_TAIL = 1e-12
@@ -35,7 +41,9 @@ class DiscreteGaussianSpec:
 
     Support is sorted by decreasing mass; cum is the inclusive cumulative
     probability, so inverse CDF is a single searchsorted. The enumerated
-    support carries at least (1 - tail) of the full coset mass.
+    support carries at least (1 - tail) of the full coset mass, and
+    log_raw_sum is log sum exp(-||x||^2 / 2 sigma^2) over it, from which
+    the coset's mass, power and entropy follow.
     """
 
     lattice: Lattice
@@ -47,6 +55,23 @@ class DiscreteGaussianSpec:
     points: np.ndarray  # (m, n) float, the coset points themselves
     probs: np.ndarray
     cum: np.ndarray
+    log_raw_sum: float
+
+    @property
+    def mass(self) -> float:
+        """f_sigma(Lambda + shift), certified to the support's tail."""
+        log_norm = (self.lattice.n / 2) * math.log(2 * math.pi * self.sigma**2)
+        return math.exp(self.log_raw_sum - log_norm)
+
+    @property
+    def power(self) -> float:
+        """Exact conditional second moment E[||X||^2]."""
+        return float((self.probs * (self.points**2).sum(axis=1)).sum())
+
+    @property
+    def entropy(self) -> float:
+        """Entropy in nats: log raw mass plus half the relative second moment."""
+        return self.log_raw_sum + self.power / (2 * self.sigma**2)
 
 
 def discrete_gaussian(lat: Lattice, shift, sigma, tail=DEFAULT_TAIL,
@@ -67,8 +92,17 @@ def discrete_gaussian(lat: Lattice, shift, sigma, tail=DEFAULT_TAIL,
         lattice=lat, shift=shift, sigma=float(sigma),
         radius=data.truncation_radius, tail=data.tail_bound,
         coords=coords, points=shift + lat.embed(coords),
-        probs=probs, cum=cum,
+        probs=probs, cum=cum, log_raw_sum=data.log_raw_sum,
     )
+
+
+def sample_indices(spec: DiscreteGaussianSpec, rng: RngStream, trials):
+    """Inverse-CDF draws: `trials` indices into the spec's support."""
+    if trials < 1:
+        raise InvalidParams("trials must be positive")
+    u = rng.generator().random(trials)
+    idx = np.searchsorted(spec.cum, u, side="right")
+    return np.minimum(idx, len(spec.cum) - 1)
 
 
 def sample_discrete_gaussian(spec: DiscreteGaussianSpec, rng: RngStream,
@@ -78,12 +112,7 @@ def sample_discrete_gaussian(spec: DiscreteGaussianSpec, rng: RngStream,
     trials=None returns one point of shape (n,); otherwise (trials, n).
     """
     m = 1 if trials is None else int(trials)
-    if m < 1:
-        raise InvalidParams("trials must be positive")
-    u = rng.generator().random(m)
-    idx = np.searchsorted(spec.cum, u, side="right")
-    idx = np.minimum(idx, len(spec.cum) - 1)
-    out = spec.points[idx]
+    out = spec.points[sample_indices(spec, rng, m)]
     return out[0] if trials is None else out
 
 
@@ -96,22 +125,6 @@ def sample_normal(sigma, n, rng: RngStream, trials=None):
         raise InvalidParams("need positive dimensions")
     x = rng.generator().standard_normal((m, n)) * sigma
     return x[0] if trials is None else x
-
-
-def sample_dither_continuous(sigma_s, n, rng: RngStream, lat: Lattice = None,
-                             trials=None):
-    """Gaussian dither T ~ N(0, sigma_s^2 I); reduced mod lat when given.
-
-    Reduction subtracts lattice vectors, so both modes land in the same
-    coset and are interchangeable wherever only the coset matters.
-    """
-    t = sample_normal(sigma_s, n, rng, trials)
-    if lat is None:
-        return t
-    from .lattices import reduce_batch
-
-    red = reduce_batch(lat, np.atleast_2d(t))
-    return red[0] if trials is None else red
 
 
 def check_nested(coarse: Lattice, fine: Lattice, tol=1e-9):
@@ -130,8 +143,6 @@ def sample_dither_discrete(coarse: Lattice, fine: Lattice, sigma_s,
     check_nested(coarse, fine)
     spec = discrete_gaussian(fine, np.zeros(fine.n), sigma_s, tail)
     t = sample_discrete_gaussian(spec, rng, trials)
-    from .lattices import reduce_batch
-
     red = reduce_batch(coarse, np.atleast_2d(t))
     return red[0] if trials is None else red
 
@@ -156,24 +167,9 @@ def batch_coset_sample(lat: Lattice, shifts, sigma, rng: RngStream,
 
     anchors = decode_batch(lat, shifts)
     red = shifts - lat.embed(anchors)
-    from .measures import _solve_tail_t
-
-    mu = lat.covering_bound
-    centered = enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol / 2, budget)
-    log_target = math.log(rel_tol / 4) - mu**2 / (2 * sigma**2) - centered.log_raw_sum
-    t = _solve_tail_t(lat.n, log_target)
-    radius = sigma * math.sqrt(2 * lat.n * t) + mu
-    from .lattices import enumerate_coset
-
-    scoords, spts = enumerate_coset(lat, np.zeros(lat.n), radius, budget)
-    sn2 = (spts**2).sum(axis=1)
+    scoords, chunks = padded_coset_support(lat, red, sigma, rel_tol, budget, chunk)
     coords = np.empty((m, lat.n), dtype=np.int64)
-    # keep the per-chunk distance matrix near 8M entries
-    chunk = max(1, min(chunk, (1 << 23) // max(1, len(sn2))))
-    for a in range(0, m, chunk):
-        b = min(a + chunk, m)
-        r = red[a:b]
-        d2 = sn2[None, :] + 2.0 * (r @ spts.T) + (r**2).sum(axis=1)[:, None]
+    for a, b, d2 in chunks:
         e = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / (2 * sigma**2))
         cs = np.cumsum(e, axis=1)
         target = u[a:b] * cs[:, -1]
@@ -188,13 +184,11 @@ def _is_zn(lat):
 
 def _zn_rows(lat, shifts, sigma, rel_tol, u):
     """Per-coordinate exact sampling for c*Z^n: the coset factorizes."""
-    from .measures import _solve_tail_t
-
     c = lat._fast[1]
     n = lat.n
     k0 = int(math.ceil(20 * sigma / c)) + 2
     rho_c = float(np.exp(-(np.arange(-k0, k0 + 1) * c) ** 2 / (2 * sigma**2)).sum())
-    t = _solve_tail_t(
+    t = solve_tail_t(
         1,
         math.log(rel_tol / (4 * n)) - (c / 2) ** 2 / (2 * sigma**2) - math.log(rho_c),
     )

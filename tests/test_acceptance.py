@@ -228,14 +228,13 @@ def test_criterion_09_closed_form_calculators():
 
 
 def test_criterion_10_byte_identical_reruns(capsys):
-    argv = ["verify", "--suite", "chernoff", "--seed", "5", "--threads", "1"]
+    argv = ["verify", "--suite", "chernoff", "--seed", "5"]
     assert cli.run(argv) == 0
     first = capsys.readouterr().out
     assert cli.run(argv) == 0
     second = capsys.readouterr().out
     sim = ["simulate", "--lattice", "Z2", "--snr", "1", "--eps", "0.05",
-           "--scale", "2.0", "--trials", "5000", "--seed", "5",
-           "--threads", "1"]
+           "--scale", "2.0", "--trials", "5000", "--seed", "5"]
     assert cli.run(sim) == 0
     sim_first = capsys.readouterr().out
     assert cli.run(sim) == 0

@@ -27,8 +27,7 @@ def test_verify_sampling_lemma_passes(capsys):
 
 def test_identical_invocations_are_byte_identical(capsys):
     argv = ["simulate", "--lattice", "Z", "--snr", "1", "--eps", "0.05",
-            "--scale", "2.0", "--trials", "2000", "--seed", "9",
-            "--threads", "1"]
+            "--scale", "2.0", "--trials", "2000", "--seed", "9"]
     assert cli.run(argv) == 0
     first = capsys.readouterr().out
     assert cli.run(argv) == 0

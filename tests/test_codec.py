@@ -8,10 +8,10 @@ from latgauss.codec import (
     codec_config,
     coords_differ,
     decode,
+    draw_dither,
     encode,
     is_error,
     mod_interval,
-    normalize_scale,
     suggest_mod_b,
     transmission_trial,
     transmit,
@@ -19,6 +19,7 @@ from latgauss.codec import (
 from latgauss.errors import DimensionMismatch, InvalidParams, NonPositive, NotNested
 from latgauss.lattices import scale_lattice, standard_lattice
 from latgauss.rng import RngStream
+from latgauss.sampling import discrete_gaussian, sample_discrete_gaussian
 
 Z = standard_lattice("Z")
 UNIT = channel_params(1.0, 1.0)
@@ -41,14 +42,6 @@ def test_channel_params_rejects_nonpositive():
         channel_params(0.0, 1.0)
     with pytest.raises(NonPositive):
         channel_params(1.0, -2.0)
-
-
-def test_normalize_scale_is_err_inv_times_sigma_eff():
-    assert normalize_scale(Z, UNIT, 0.05, 3.9199) == pytest.approx(
-        3.9199 * math.sqrt(0.5)
-    )
-    with pytest.raises(NonPositive):
-        normalize_scale(Z, UNIT, 0.05, 0.0)
 
 
 def test_codec_config_validation():
@@ -147,6 +140,19 @@ def test_encoded_coords_rebuild_the_signal():
     np.testing.assert_allclose(
         enc.x, enc.t + cfg.scaled.embed(enc.coords), atol=1e-12
     )
+
+
+def test_encode_draws_like_sample_discrete_gaussian():
+    # the signal is the inverse-CDF draw of the dithered coset's spec on
+    # stream child 1
+    cfg = codec_config(standard_lattice("D4"), 1.5, UNIT)
+    for seed in range(5):
+        rng = RngStream(seed)
+        enc = encode(cfg, rng)
+        t = draw_dither(cfg, rng.child(0))
+        spec = discrete_gaussian(cfg.scaled, t, UNIT.sigma_s)
+        np.testing.assert_array_equal(enc.t, t)
+        np.testing.assert_array_equal(enc.x, sample_discrete_gaussian(spec, rng.child(1)))
 
 
 def test_coords_differ_modulo_b():

@@ -9,7 +9,6 @@ from latgauss.codec import channel_params
 from latgauss.errors import InvalidParams
 from latgauss.lattices import dual, new_lattice, reduce_batch, scale_lattice, standard_lattice
 from latgauss.measures import (
-    batch_coset_masses,
     batch_coset_stats,
     effective_noise_bounds,
     effective_noise_pdf,
@@ -239,14 +238,6 @@ def test_batch_coset_stats_power_oracle():
         w = np.exp(-x * x / 2)
         want = float((w * x * x).sum() / w.sum())
         assert power == pytest.approx(want, rel=1e-10)
-
-
-def test_batch_coset_masses_is_the_mass_column():
-    z2 = standard_lattice("Z2")
-    pts = reduce_batch(z2, np.random.default_rng(5).normal(size=(6, 2)))
-    np.testing.assert_array_equal(
-        batch_coset_masses(z2, pts, 1.1), batch_coset_stats(z2, pts, 1.1)["mass"]
-    )
 
 
 def test_effective_noise_pdf_matches_brute():

@@ -6,12 +6,14 @@ from scipy import stats
 
 from latgauss.codec import channel_params, codec_config
 from latgauss.errors import InvalidParams, ResolutionExceeded
-from latgauss.lattices import decode_batch, scale_lattice, standard_lattice
+from latgauss.lattices import decode_batch, reduce_batch, scale_lattice, standard_lattice
+from latgauss.measures import batch_coset_stats, entropy_exact, gaussian_mass
 from latgauss.montecarlo import (
     ConverseReport,
     chernoff_power_check,
     converse_experiment,
     discrete_sampling_suite,
+    dither_audit,
     effective_noise_tail_check,
     inverse_error_function,
     markov_error_suite,
@@ -184,6 +186,29 @@ def test_discrete_sampling_composition():
     assert got["pass"]
     assert got["p_value"] > 0.001
     assert got["bins"] >= 2
+
+
+def test_dither_audit_profile_matches_measures():
+    # mass, power and rate read from the audit's spec agree with the
+    # independent measures routes on shifted A2 and E8 cosets; E8 at
+    # the criterion-4 scale (err_inv 4.762 times sigma_eff)
+    params = channel_params(1.0, 1.0)
+    cases = [
+        (standard_lattice("A2"), 2.0, [0.3, -0.7]),
+        (standard_lattice("E8"), 3.367, [0.4, -1.1, 0.2, 0.9, -0.3, 0.05, 1.3, -0.6]),
+    ]
+    for lat, scale, t in cases:
+        config = codec_config(lat, scale, params)
+        scaled = config.scaled
+        t = np.asarray(t)
+        n = lat.n
+        got = dither_audit(config, t, 0.05, 200, RngStream(58))
+        power = batch_coset_stats(scaled, reduce_batch(scaled, t[None]), 1.0,
+                                  rel_tol=1e-11)["power"][0]
+        mass = gaussian_mass(scaled, t, 1.0, 1e-12).value
+        assert got.mass == pytest.approx(mass, rel=1e-9)
+        assert got.avg_power.p_hat * n * params.sigma_s2 == pytest.approx(power, rel=1e-9)
+        assert got.rate * n == pytest.approx(entropy_exact(scaled, t, 1.0), rel=1e-9)
 
 
 def test_theorem1_suite_structure_and_pass():

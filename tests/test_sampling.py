@@ -12,7 +12,6 @@ from latgauss.sampling import (
     check_nested,
     discrete_gaussian,
     sample_discrete_gaussian,
-    sample_dither_continuous,
     sample_dither_discrete,
     sample_normal,
 )
@@ -98,15 +97,6 @@ def test_dither_requires_nesting():
     m = check_nested(two_z, Z)
     assert m.dtype == np.int64
     assert m[0, 0] == 2
-
-
-def test_continuous_dither_reduction():
-    t = sample_dither_continuous(2.0, 1, RngStream(16), lat=Z, trials=500)
-    raw = sample_dither_continuous(2.0, 1, RngStream(16), trials=500)
-    assert np.abs(t).max() <= 0.5
-    # reduction only subtracts integers, so the coset is untouched
-    diff = raw - t
-    np.testing.assert_allclose(diff, np.rint(diff), atol=1e-12)
 
 
 def test_sample_normal_moments_and_guards():
