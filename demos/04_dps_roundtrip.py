@@ -1,8 +1,8 @@
 """End-to-end shaping roundtrip on the AWGN channel.
 
-Encoder: draw a Gaussian dither t, transmit the lattice point nearest to
-the shaped coset (so X is a discrete Gaussian on L - t). Decoder: MMSE
-scale the channel output and decode back to the coset. The lattice scale
+Encoder: draw a Gaussian dither t and send X ~ D_{L+t, sigma_s}, a
+discrete Gaussian on the dithered coset. Decoder: MMSE scale the channel
+output and decode back to the coset. The lattice scale
 is set so that the decoding error rate lands near a target eps, and the
 transmit power lands near sigma_s^2 per dimension.
 """
@@ -10,7 +10,7 @@ transmit power lands near sigma_s^2 per dimension.
 import numpy as np
 
 from latgauss import RngStream, standard_lattice
-from latgauss import codec, montecarlo
+from latgauss import codec, montecarlo, sampling
 
 EPS = 0.01
 TRIALS = 20_000
@@ -40,9 +40,15 @@ cap = 0.5 * np.log1p(SNR)
 print(f"entropy rate of the shaped input {out['rate_proxy']:.4f} nats/dim")
 print(f"channel capacity {cap:.4f} nats/dim")
 
-# One single trial, spelled out.
-trial = codec.transmission_trial(config, RngStream(6))
-print(f"\nsingle trial: t = {np.round(trial['t'], 3)}")
-print(f"              x = {np.round(trial['x'], 3)}")
-print(f"              y = {np.round(trial['y'], 3)}")
-print(f"  decoded x_hat = {np.round(trial['x_hat'], 3)}, error {trial['error']}")
+# One single trial, spelled out: the batch path with one row.
+one = RngStream(6)
+t = codec.draw_dithers(config, one.child(0), 1)
+x, coords = sampling.batch_coset_sample(config.scaled, t, params.sigma_s,
+                                        one.child(1))
+w = sampling.sample_normal(params.sigma_w, lat.n, one.child(2), trials=1)
+tx = codec.transmit_batch(config, t, x, coords, w)
+x_hat = t + config.scaled.embed(tx.coords_hat)
+print(f"\nsingle trial: t = {np.round(t[0], 3)}")
+print(f"              x = {np.round(x[0], 3)}")
+print(f"              y = {np.round(tx.y[0], 3)}")
+print(f"  decoded x_hat = {np.round(x_hat[0], 3)}, error {bool(tx.err[0])}")

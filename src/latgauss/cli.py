@@ -242,26 +242,27 @@ def cmd_sample(ns):
     return 0
 
 
-def _build_codec(ns, lat, params, root):
-    """Resolve the scale (flag, or Monte Carlo inversion) and the modes."""
+def _build_codec(ns, lat, params, err_inv):
+    """Config for the --dither and --peak modes at one channel.
+
+    The scale is err_inv * sigma_eff, or --scale when err_inv is None.
+    """
     dither, fine = parse_dither(ns.dither)
     peak, peak_kw = parse_peak(ns.peak, params)
-    if ns.scale is not None:
-        scale, err_inv = ns.scale, None
-    else:
-        err_inv = inverse_error_function(lat, ns.eps, trials=ns.inv_trials,
-                                         rng=root.child(1))
-        scale = err_inv * params.sigma_eff
-    config = codec_config(lat, scale, params, dither=dither,
-                          dither_fine=fine, peak=peak, **peak_kw)
-    return config, err_inv
+    scale = ns.scale if err_inv is None else err_inv * params.sigma_eff
+    return codec_config(lat, scale, params, dither=dither, dither_fine=fine,
+                        peak=peak, **peak_kw)
 
 
 def cmd_simulate(ns):
     lat = parse_lattice(ns.lattice)
     params = resolve_channel(ns)
     root = RngStream(ns.seed)
-    config, err_inv = _build_codec(ns, lat, params, root)
+    err_inv = None
+    if ns.scale is None:
+        err_inv = inverse_error_function(lat, ns.eps, trials=ns.inv_trials,
+                                         rng=root.child(1))
+    config = _build_codec(ns, lat, params, err_inv)
     res = transmission_experiment(config, ns.trials, root.child(2),
                                   keep_err=bool(ns.csv))
     err = res.pop("err", None)
@@ -295,12 +296,7 @@ def cmd_sweep(ns):
     for i, snr in enumerate(ns.snr_grid):
         if not snr > 0:
             raise UsageError("--snr-grid entries must be positive")
-        params = channel_params(1.0, 1.0 / snr)
-        dither, fine = parse_dither(ns.dither)
-        peak, peak_kw = parse_peak(ns.peak, params)
-        config = codec_config(lat, err_inv * params.sigma_eff, params,
-                              dither=dither, dither_fine=fine, peak=peak,
-                              **peak_kw)
+        config = _build_codec(ns, lat, channel_params(1.0, 1.0 / snr), err_inv)
         r = transmission_experiment(config, ns.trials, root.child(10 + i))
         ci = r["p_err"]
         lines.append(",".join(_fmt(v) for v in (

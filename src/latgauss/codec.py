@@ -7,6 +7,12 @@ followed by closest-point search on the shifted lattice:
 
     x_hat = t + CP(scaled, alpha*y - t),  alpha = sigma_s^2/(sigma_s^2+sigma_w^2).
 
+This module holds the channel parameters, the codec config, the dither
+draw by mode (`draw_dithers`) and the one batch transmit/decode step
+(`transmit_batch`): peak control, channel noise, decoding and the error
+indicator, one row per trial. The signal draw lives in `sampling`; the
+Monte Carlo engines in `montecarlo` compose the two.
+
 Error comparisons run in integer lattice coordinates, never on floats, so a
 trial's error indicator is exact. In mod-B mode the comparison happens on
 the quotient modulo B*Z^n, which the config guarantees is a sublattice of
@@ -23,15 +29,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams, NonPositive
-from .lattices import Lattice, closest_point, scale_lattice
+from .lattices import Lattice, decode_batch, scale_lattice
 from .rng import RngStream
-from .sampling import (
-    check_nested,
-    discrete_gaussian,
-    sample_dither_discrete,
-    sample_indices,
-    sample_normal,
-)
+from .sampling import check_nested, sample_dither_discrete, sample_normal
 
 DITHER_MODES = ("none", "cont", "discrete")
 PEAK_MODES = ("off", "zeroize", "modb")
@@ -123,43 +123,23 @@ def codec_config(lat: Lattice, scale, params: ChannelParams, dither="cont",
     return cfg
 
 
-class Encoded(NamedTuple):
-    x: np.ndarray  # the transmitted vector (after peak control)
-    t: np.ndarray  # the dither, shared with the decoder
-    coords: np.ndarray  # lattice coordinates: x_pre_peak = t + embed(coords)
-    failure: bool  # zeroize tripped (counted as an error downstream)
+class Transmission(NamedTuple):
+    x_sent: np.ndarray  # (m, n) the channel inputs, after peak control
+    y: np.ndarray  # (m, n) the channel outputs x_sent + w
+    coords_hat: np.ndarray  # (m, n) int64 decoded lattice coordinates
+    err: np.ndarray  # (m,) exact error indicators, zeroize failures included
+    failure: np.ndarray  # (m,) zeroize tripped
 
 
-class Decoded(NamedTuple):
-    x: np.ndarray
-    coords: np.ndarray
-
-
-def draw_dither(config: CodecConfig, rng: RngStream) -> np.ndarray:
+def draw_dithers(config: CodecConfig, rng: RngStream, trials) -> np.ndarray:
+    """One dither row per trial, drawn by the config's dither mode."""
     n = config.lattice.n
     if config.dither == "none":
-        return np.zeros(n)
+        return np.zeros((trials, n))
     if config.dither == "cont":
-        return sample_normal(config.params.sigma_s, n, rng)
+        return sample_normal(config.params.sigma_s, n, rng, trials=trials)
     return sample_dither_discrete(config.scaled, config.dither_fine,
-                                  config.params.sigma_s, rng)
-
-
-def encode(config: CodecConfig, rng: RngStream) -> Encoded:
-    """Draw the dither (stream child 0) and the signal (child 1)."""
-    t = draw_dither(config, rng.child(0))
-    spec = discrete_gaussian(config.scaled, t, config.params.sigma_s)
-    idx = sample_indices(spec, rng.child(1), 1)[0]
-    coords = spec.coords[idx]
-    x = spec.points[idx]
-    failure = False
-    if config.peak == "zeroize":
-        if float(x @ x) > config.lattice.n * config.peak_budget:
-            x = np.zeros_like(x)
-            failure = True
-    elif config.peak == "modb":
-        x = mod_interval(x, config.mod_b)
-    return Encoded(x=x, t=t, coords=coords, failure=failure)
+                                  config.params.sigma_s, rng, trials)
 
 
 def mod_interval(x, b):
@@ -167,27 +147,29 @@ def mod_interval(x, b):
     return (np.asarray(x, dtype=float) + b / 2) % b - b / 2
 
 
-def transmit(config: CodecConfig, x, rng: RngStream) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    w = sample_normal(config.params.sigma_w, x.shape[-1], rng,
-                      trials=None if x.ndim == 1 else x.shape[0])
-    return x + w
+def transmit_batch(config: CodecConfig, t, x, coords, w) -> Transmission:
+    """Peak control, channel and decoder for rows x = t + embed(coords).
 
-
-def decode(config: CodecConfig, t, y) -> Decoded:
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if t.shape[-1] != config.lattice.n or y.shape[-1] != config.lattice.n:
-        raise DimensionMismatch("dither/observation dimension mismatch")
-    cp = closest_point(config.scaled, config.params.alpha * y - t)
-    return Decoded(x=t + cp.point, coords=cp.coords)
-
-
-def is_error(config: CodecConfig, sent: Encoded, got: Decoded) -> bool:
-    """Exact error indicator on integer coordinates."""
-    if sent.failure:
-        return True
-    return bool(coords_differ(config, got.coords - sent.coords))
+    Adds the given noise w, decodes t + CP(scaled, alpha*y - t) and compares
+    lattice coordinates, so each row's error indicator is exact.
+    """
+    t, x, w = (np.asarray(a, dtype=float) for a in (t, x, w))
+    coords = np.asarray(coords)
+    n = config.lattice.n
+    if t.ndim != 2 or any(a.shape != (t.shape[0], n) for a in (t, x, coords, w)):
+        raise DimensionMismatch(f"t, x, coords and w must all be (m, {n})")
+    failure = np.zeros(t.shape[0], dtype=bool)
+    x_sent = x
+    if config.peak == "zeroize":
+        failure = (x**2).sum(axis=1) > n * config.peak_budget
+        x_sent = np.where(failure[:, None], 0.0, x)
+    elif config.peak == "modb":
+        x_sent = mod_interval(x, config.mod_b)
+    y = x_sent + w
+    chat = decode_batch(config.scaled, config.params.alpha * y - t)
+    err = coords_differ(config, chat - coords) | failure
+    return Transmission(x_sent=x_sent, y=y, coords_hat=chat, err=err,
+                        failure=failure)
 
 
 def coords_differ(config: CodecConfig, diff) -> np.ndarray:
@@ -198,28 +180,11 @@ def coords_differ(config: CodecConfig, diff) -> np.ndarray:
     """
     diff = np.atleast_2d(np.asarray(diff, dtype=np.int64))
     if config.peak != "modb":
-        return diff.any(axis=1) if diff.shape[0] > 1 else diff.any()
+        return diff.any(axis=1)
     m = config.modb_coords
     minv = np.linalg.inv(m.astype(float))
     k = np.rint(diff @ minv.T).astype(np.int64)
-    exact = (k @ m.T == diff).all(axis=1)
-    out = ~exact
-    return out if out.shape[0] > 1 else out[0]
-
-
-def transmission_trial(config: CodecConfig, rng: RngStream) -> dict:
-    """One end-to-end trial: dither, encode, channel, decode, compare.
-
-    Streams: child 0 dither, child 1 signal, child 2 noise.
-    """
-    enc = encode(config, rng)
-    y = transmit(config, enc.x, rng.child(2))
-    dec = decode(config, enc.t, y)
-    return {
-        "t": enc.t, "x": enc.x, "w": y - enc.x, "y": y, "x_hat": dec.x,
-        "error": is_error(config, enc, dec),
-        "power": float(enc.x @ enc.x) / config.lattice.n,
-    }
+    return ~(k @ m.T == diff).all(axis=1)
 
 
 def suggest_mod_b(sigma_s, n, eps_peak) -> float:

@@ -83,6 +83,10 @@ class Lattice:
         self.gram = basis.T @ basis
         # (family, scale) for closed-form decoders: ("Zn"|"Dn"|"E8", s)
         self._fast = _fast
+        if n <= 2 and _fast is None:
+            # the window decoder searches around Babai in a reduced basis
+            red, u = _lagrange_reduce(basis)
+            self._window = (red, np.linalg.inv(red), u)
         # Upper bound on the covering radius; used to size shared enumerations.
         # Exact for the recognized families, Babai bound otherwise.
         self.covering_bound = 0.5 * float(np.sqrt((diag**2).sum()))
@@ -99,6 +103,15 @@ class Lattice:
     def basis(self):
         return self._basis
 
+    @property
+    def family(self):
+        """(name, scale) of a closed-form family, or None.
+
+        name is "Zn", "Dn" or "E8" and the lattice is scale times that
+        family's standard embedding; such lattices decode in closed form.
+        """
+        return self._fast
+
     def embed(self, coords):
         """Map integer coordinates (..., n) to points (..., n)."""
         return np.asarray(coords, dtype=float) @ self._basis.T
@@ -114,6 +127,26 @@ class Lattice:
     def __repr__(self):
         label = self.name or f"{self.n}-dim"
         return f"Lattice({label}, volume={self.volume:.6g})"
+
+
+def _lagrange_reduce(basis):
+    """Lagrange-reduced basis basis @ u of a 1- or 2-D lattice, and u.
+
+    u is unimodular (int64). The reduced columns satisfy |b0| <= |b1| (up
+    to the tie tolerance) and |<b0, b1>| <= |b0|^2 / 2, so an already
+    reduced basis, A2's included, keeps u = I.
+    """
+    u = np.eye(basis.shape[0], dtype=np.int64)
+    while basis.shape[0] == 2:
+        b = basis @ u
+        if b[:, 1] @ b[:, 1] < (1.0 - _TIE_REL) * (b[:, 0] @ b[:, 0]):
+            u = u[:, ::-1].copy()
+            b = b[:, ::-1]
+        mu = int(np.rint((b[:, 0] @ b[:, 1]) / (b[:, 0] @ b[:, 0])))
+        if mu == 0:
+            break
+        u[:, 1] -= mu * u[:, 0]
+    return basis @ u, u
 
 
 def new_lattice(basis, name=None) -> Lattice:
@@ -316,8 +349,9 @@ def decode_batch(lat: Lattice, points) -> np.ndarray:
     """Closest-point coordinates for each row of `points` (m, n) -> (m, n) int.
 
     Uses closed-form decoders for the Zn/Dn/E8 families (any scaling), a
-    vectorized Babai-plus-window search for n <= 2, and the exact sphere
-    decoder row by row otherwise. Boundary ties resolve deterministically.
+    vectorized Babai-plus-window search in a Lagrange-reduced basis for
+    n <= 2, and the exact sphere decoder row by row otherwise. Boundary
+    ties resolve deterministically.
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
@@ -335,12 +369,13 @@ def decode_batch(lat: Lattice, points) -> np.ndarray:
             emb = _decode_e8_points(y)
         coords = lat.coords_of(emb * s)
     elif lat.n <= 2:
-        c0 = np.rint(pts @ lat._binv.T)
+        red, red_inv, u = lat._window
+        c0 = np.rint(pts @ red_inv.T)
         cand = c0[:, None, :] + _window_offsets(lat.n)[None, :, :]
-        emb = cand @ lat.basis.T
+        emb = cand @ red.T
         d2 = ((emb - pts[:, None, :]) ** 2).sum(axis=2)
         pick = np.argmin(d2, axis=1)
-        coords = cand[np.arange(pts.shape[0]), pick].astype(np.int64)
+        coords = cand[np.arange(pts.shape[0]), pick].astype(np.int64) @ u.T
     else:
         coords = np.stack([closest_point(lat, y).coords for y in pts])
     return coords[0] if single else coords

@@ -343,8 +343,8 @@ def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9,
     """
     _check_sigma(sigma)
     shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
-    if lat._fast is not None and lat._fast[0] == "Zn":
-        return _zn_coset_stats(lat._fast[1], shifts, sigma, chunk)
+    if lat.family is not None and lat.family[0] == "Zn":
+        return _zn_coset_stats(lat.family[1], shifts, sigma, chunk)
     _, chunks = padded_coset_support(lat, shifts, sigma, rel_tol, budget, chunk)
     mass = np.empty(shifts.shape[0])
     power = np.empty(shifts.shape[0])

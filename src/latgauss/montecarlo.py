@@ -27,8 +27,8 @@ from .codec import (
     CodecConfig,
     channel_params,
     codec_config,
-    coords_differ,
-    mod_interval,
+    draw_dithers,
+    transmit_batch,
 )
 from .errors import InternalMismatch, InvalidParams, ResolutionExceeded
 from .lattices import (
@@ -173,9 +173,8 @@ def _critical_scales(lat: Lattice, z):
     E8); other lattices get an explicit candidate set.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    fam = lat._fast
-    if fam is not None:
-        name, c = fam
+    if lat.family is not None:
+        name, c = lat.family
         a = np.abs(z)
         if name == "Zn":
             return 2.0 * a.max(axis=1) / c
@@ -238,8 +237,8 @@ def inverse_error_function(lat: Lattice, eps, trials=200_000, tol=1e-3,
             part = np.partition(s, idx)
             lo, q, hi = part[idx[0]], part[idx[1]], part[idx[2]]
             if hi - lo <= tol * q:
-                if lat._fast is not None and lat._fast[0] == "Zn":
-                    closed = zn_err_inv(lat.n, eps, lat._fast[1])
+                if lat.family is not None and lat.family[0] == "Zn":
+                    closed = zn_err_inv(lat.n, eps, lat.family[1])
                     if abs(q - closed) > 5 * tol * closed:
                         raise InternalMismatch(
                             f"quantile {q} vs closed form {closed} for scaled Z^n"
@@ -268,11 +267,10 @@ def dither_audit(config: CodecConfig, t, eps, trials, rng: RngStream) -> DitherA
     t = np.asarray(t, dtype=float)
     spec = discrete_gaussian(scaled, t, p.sigma_s)
     idx = sample_indices(spec, rng.child(0), trials)
-    x = spec.points[idx]
     w = sample_normal(p.sigma_w, n, rng.child(1), trials=trials)
-    chat = decode_batch(scaled, p.alpha * (x + w) - t)
-    errs = int((chat != spec.coords[idx]).any(axis=1).sum())
-    err_ci = proportion_ci(errs, trials, seed=rng.seed)
+    tx = transmit_batch(config, np.broadcast_to(t, (trials, n)),
+                        spec.points[idx], spec.coords[idx], w)
+    err_ci = proportion_ci(int(tx.err.sum()), trials, seed=rng.seed)
 
     err_inv = config.scale / p.sigma_eff
     gamma = err_inv**2 * config.lattice.volume ** (2.0 / n) / TWO_PI_E
@@ -381,33 +379,26 @@ def run_trials(config: CodecConfig, t, rng: RngStream,
                compare_escape=False) -> dict:
     """Vectorized end-to-end trials, one per dither row of t.
 
-    Streams: child 0 signal draw, child 1 channel noise. Error indicators
-    are integer-exact. With compare_escape (peak control off only) also
-    decodes the effective noise and counts disagreements with the error
-    indicator; the decoder errs exactly when the effective noise escapes.
+    Streams: child 0 signal draw, child 1 channel noise; `transmit_batch`
+    does the rest. Error indicators are integer-exact. With compare_escape
+    (peak control off only) also decodes the effective noise and counts
+    disagreements with the error indicator; the decoder errs exactly when
+    the effective noise escapes.
     """
     scaled = config.scaled
     p = config.params
     t = np.atleast_2d(np.asarray(t, dtype=float))
     m = t.shape[0]
     x, c = batch_coset_sample(scaled, t, p.sigma_s, rng.child(0))
-    failure = np.zeros(m, dtype=bool)
-    x_sent = x
-    if config.peak == "zeroize":
-        failure = (x**2).sum(axis=1) > scaled.n * config.peak_budget
-        x_sent = np.where(failure[:, None], 0.0, x)
-    elif config.peak == "modb":
-        x_sent = mod_interval(x, config.mod_b)
     w = sample_normal(p.sigma_w, scaled.n, rng.child(1), trials=m)
-    y = x_sent + w
-    chat = decode_batch(scaled, p.alpha * y - t)
-    err = np.atleast_1d(coords_differ(config, chat - c)) | failure
+    tx = transmit_batch(config, t, x, c, w)
+    err = tx.err
     out = {
         "errors": int(err.sum()),
         "err": err,
         "p_err": proportion_ci(int(err.sum()), m, seed=rng.seed),
-        "avg_power": float((x_sent**2).sum(axis=1).mean()) / scaled.n,
-        "failures": int(failure.sum()),
+        "avg_power": float((tx.x_sent**2).sum(axis=1).mean()) / scaled.n,
+        "failures": int(tx.failure.sum()),
     }
     if compare_escape:
         if config.peak != "off":
@@ -428,14 +419,7 @@ def transmission_experiment(config: CodecConfig, trials, rng: RngStream,
     the per-trial indicator array for callers that log trial by trial.
     """
     n = config.lattice.n
-    if config.dither == "none":
-        t = np.zeros((trials, n))
-    elif config.dither == "cont":
-        t = sample_normal(config.params.sigma_s, n, rng.child(100), trials=trials)
-    else:
-        t = sample_dither_discrete(config.scaled, config.dither_fine,
-                                   config.params.sigma_s, rng.child(100),
-                                   trials=trials)
+    t = draw_dithers(config, rng.child(100), trials)
     out = run_trials(config, t, rng, compare_escape=compare_escape)
     k = 1 if config.dither == "none" else min(8, trials)
     rates = [

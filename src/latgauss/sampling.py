@@ -138,13 +138,11 @@ def check_nested(coarse: Lattice, fine: Lattice, tol=1e-9):
 
 
 def sample_dither_discrete(coarse: Lattice, fine: Lattice, sigma_s,
-                           rng: RngStream, trials=None, tail=DEFAULT_TAIL):
-    """T ~ D_{fine,sigma_s} reduced mod coarse."""
+                           rng: RngStream, trials, tail=DEFAULT_TAIL):
+    """`trials` rows T ~ D_{fine,sigma_s} reduced mod coarse."""
     check_nested(coarse, fine)
     spec = discrete_gaussian(fine, np.zeros(fine.n), sigma_s, tail)
-    t = sample_discrete_gaussian(spec, rng, trials)
-    red = reduce_batch(coarse, np.atleast_2d(t))
-    return red[0] if trials is None else red
+    return reduce_batch(coarse, sample_discrete_gaussian(spec, rng, trials))
 
 
 def batch_coset_sample(lat: Lattice, shifts, sigma, rng: RngStream,
@@ -160,8 +158,9 @@ def batch_coset_sample(lat: Lattice, shifts, sigma, rng: RngStream,
     m = shifts.shape[0]
     if shifts.shape[1] != lat.n:
         raise InvalidParams("shift dimension mismatch")
-    u = rng.generator().random((m, lat.n) if _is_zn(lat) else m)
-    if _is_zn(lat):
+    zn = lat.family is not None and lat.family[0] == "Zn"
+    u = rng.generator().random((m, lat.n) if zn else m)
+    if zn:
         coords = _zn_rows(lat, shifts, sigma, rel_tol, u)
         return shifts + lat.embed(coords), coords
 
@@ -178,13 +177,9 @@ def batch_coset_sample(lat: Lattice, shifts, sigma, rng: RngStream,
     return shifts + lat.embed(coords), coords
 
 
-def _is_zn(lat):
-    return lat._fast is not None and lat._fast[0] == "Zn"
-
-
 def _zn_rows(lat, shifts, sigma, rel_tol, u):
     """Per-coordinate exact sampling for c*Z^n: the coset factorizes."""
-    c = lat._fast[1]
+    c = lat.family[1]
     n = lat.n
     k0 = int(math.ceil(20 * sigma / c)) + 2
     rho_c = float(np.exp(-(np.arange(-k0, k0 + 1) * c) ** 2 / (2 * sigma**2)).sum())

@@ -7,19 +7,16 @@ from latgauss.codec import (
     channel_params,
     codec_config,
     coords_differ,
-    decode,
-    draw_dither,
-    encode,
-    is_error,
+    draw_dithers,
     mod_interval,
     suggest_mod_b,
-    transmission_trial,
-    transmit,
+    transmit_batch,
 )
 from latgauss.errors import DimensionMismatch, InvalidParams, NonPositive, NotNested
 from latgauss.lattices import scale_lattice, standard_lattice
+from latgauss.montecarlo import run_trials
 from latgauss.rng import RngStream
-from latgauss.sampling import discrete_gaussian, sample_discrete_gaussian
+from latgauss.sampling import sample_normal
 
 Z = standard_lattice("Z")
 UNIT = channel_params(1.0, 1.0)
@@ -74,23 +71,31 @@ def test_modb_coords_matrix():
 
 def test_decode_takes_dither_then_observation():
     cfg = codec_config(Z, 1.0, UNIT)
-    got = decode(cfg, np.zeros(1), np.array([2.2]))
-    # alpha*y = 1.1 rounds to the lattice point 1
-    assert got.x[0] == 1.0
-    assert got.coords[0] == 1
+    # x = 2 is sent, w = 0.2 makes y = 2.2, and alpha*y = 1.1 rounds to 1
+    got = transmit_batch(cfg, [[0.0]], [[2.0]], [[2]], [[0.2]])
+    np.testing.assert_allclose(got.y, [[2.2]])
+    np.testing.assert_array_equal(got.coords_hat, [[1]])
+    np.testing.assert_array_equal(got.err, [True])
+    # every argument must be (m, n)
     with pytest.raises(DimensionMismatch):
-        decode(cfg, np.zeros(2), np.array([2.2]))
+        transmit_batch(cfg, np.zeros((1, 2)), [[2.0]], [[2]], [[0.2]])
     with pytest.raises(DimensionMismatch):
-        decode(cfg, np.zeros(1), np.zeros(3))
+        transmit_batch(cfg, [[0.0]], [[2.0]], [[2]], np.zeros((1, 3)))
+    with pytest.raises(DimensionMismatch):
+        transmit_batch(cfg, [[0.0]], [[2.0], [1.0]], [[2]], [[0.2]])
+    with pytest.raises(DimensionMismatch):
+        transmit_batch(cfg, np.zeros(1), np.zeros(1), np.zeros(1, int), np.zeros(1))
 
 
 def test_decode_shifts_by_the_dither():
     cfg = codec_config(Z, 1.0, UNIT)
-    t = np.array([0.3])
-    got = decode(cfg, t, np.array([2.0 * 1.3]))
-    # alpha*y - t = 1.0, so the decoded point is t + 1
-    assert got.x[0] == pytest.approx(1.3)
-    assert got.coords[0] == 1
+    # y = 2.6 with t = 0.3: alpha*y - t = 1.0, so the decoded point is t + 1
+    got = transmit_batch(cfg, [[0.3]], [[2.3]], [[2]], [[0.3]])
+    np.testing.assert_array_equal(got.coords_hat, [[1]])
+    # the same y with t = 0.9: alpha*y - t = 0.4 decodes to t + 0
+    got = transmit_batch(cfg, [[0.9]], [[2.9]], [[2]], [[-0.3]])
+    np.testing.assert_allclose(got.y, [[2.6]])
+    np.testing.assert_array_equal(got.coords_hat, [[0]])
 
 
 def test_mod_interval_half_open():
@@ -113,46 +118,28 @@ def test_near_noiseless_channel_decodes_exactly():
     # with sigma_w^2 = 1e-12 the MMSE scaling is essentially the identity
     # and every trial must recover the sent coordinates
     cfg = codec_config(Z, 1.0, channel_params(1.0, 1e-12))
-    for i in range(50):
-        rng = RngStream(100 + i)
-        enc = encode(cfg, rng)
-        y = transmit(cfg, enc.x, rng.child(2))
-        dec = decode(cfg, enc.t, y)
-        assert np.array_equal(dec.coords, enc.coords)
-        assert not is_error(cfg, enc, dec)
+    t = draw_dithers(cfg, RngStream(100), 50)
+    res = run_trials(cfg, t, RngStream(101))
+    assert res["errors"] == 0
+    assert not res["err"].any()
 
 
 def test_zeroize_trips_and_counts_as_error():
     cfg = codec_config(Z, 1.0, UNIT, peak="zeroize", peak_budget=1e-8)
-    enc = encode(cfg, RngStream(7))
-    assert enc.failure
-    assert np.all(enc.x == 0.0)
-    dec = decode(cfg, enc.t, transmit(cfg, enc.x, RngStream(7).child(2)))
-    assert is_error(cfg, enc, dec)
+    t = np.array([[0.25], [-0.1]])
+    # x = t + 2 carries power > 1e-8, so both rows trip and count as errors
+    got = transmit_batch(cfg, t, t + 2.0, [[2], [2]], np.zeros((2, 1)))
+    np.testing.assert_array_equal(got.failure, [True, True])
+    assert np.all(got.x_sent == 0.0)
+    np.testing.assert_array_equal(got.err, [True, True])
+    # continuous dithers keep every signal off zero, so every row trips
+    t = draw_dithers(cfg, RngStream(7), 20)
+    res = run_trials(cfg, t, RngStream(8))
+    assert res["failures"] == res["errors"] == 20
+    assert res["avg_power"] == 0.0
     # a huge budget never trips
     roomy = codec_config(Z, 1.0, UNIT, peak="zeroize", peak_budget=1e6)
-    assert not encode(roomy, RngStream(7)).failure
-
-
-def test_encoded_coords_rebuild_the_signal():
-    cfg = codec_config(Z, 1.0, UNIT)
-    enc = encode(cfg, RngStream(9))
-    np.testing.assert_allclose(
-        enc.x, enc.t + cfg.scaled.embed(enc.coords), atol=1e-12
-    )
-
-
-def test_encode_draws_like_sample_discrete_gaussian():
-    # the signal is the inverse-CDF draw of the dithered coset's spec on
-    # stream child 1
-    cfg = codec_config(standard_lattice("D4"), 1.5, UNIT)
-    for seed in range(5):
-        rng = RngStream(seed)
-        enc = encode(cfg, rng)
-        t = draw_dither(cfg, rng.child(0))
-        spec = discrete_gaussian(cfg.scaled, t, UNIT.sigma_s)
-        np.testing.assert_array_equal(enc.t, t)
-        np.testing.assert_array_equal(enc.x, sample_discrete_gaussian(spec, rng.child(1)))
+    assert run_trials(roomy, t, RngStream(8))["failures"] == 0
 
 
 def test_coords_differ_modulo_b():
@@ -169,20 +156,23 @@ def test_coords_differ_modulo_b():
     assert not coords_differ(plain, np.array([0]))
 
 
-def test_transmission_trial_contract():
+def test_draw_dithers_none_is_zeros():
+    cfg = codec_config(standard_lattice("D4"), 1.0, UNIT, dither="none")
+    np.testing.assert_array_equal(draw_dithers(cfg, RngStream(5), 7), np.zeros((7, 4)))
+
+
+def test_draw_dithers_cont_is_sample_normal():
+    cfg = codec_config(standard_lattice("D4"), 1.0, channel_params(2.0, 1.0))
+    t = draw_dithers(cfg, RngStream(31), 50)
+    np.testing.assert_array_equal(t, sample_normal(cfg.params.sigma_s, 4, RngStream(31), trials=50))
+    np.testing.assert_array_equal(t, draw_dithers(cfg, RngStream(31), 50))
+
+
+def test_draw_dithers_discrete_rows_in_coarse_cell():
     cfg = codec_config(Z, 2.0, UNIT, dither="discrete", dither_fine=Z)
-    tr = transmission_trial(cfg, RngStream(5))
-    assert set(tr) == {"t", "x", "w", "y", "x_hat", "error", "power"}
-    assert isinstance(tr["error"], bool)
-    assert tr["power"] == pytest.approx(float(tr["x"] @ tr["x"]) / 1)
-    np.testing.assert_allclose(tr["y"], tr["x"] + tr["w"], atol=1e-15)
-    # discrete dither lands in the coarse cell
-    assert abs(tr["t"][0]) <= 1.0
-
-
-def test_trial_is_reproducible():
-    cfg = codec_config(Z, 1.0, UNIT)
-    a = transmission_trial(cfg, RngStream(31))
-    b = transmission_trial(cfg, RngStream(31))
-    np.testing.assert_array_equal(a["y"], b["y"])
-    assert a["error"] == b["error"]
+    t = draw_dithers(cfg, RngStream(5), 200)
+    assert t.shape == (200, 1)
+    # rows are fine-lattice points reduced into the cell [-1, 1] of 2Z
+    assert np.all(np.abs(t) <= 1.0)
+    np.testing.assert_array_equal(t, np.rint(t))
+    assert set(np.unique(t)) == {-1.0, 0.0, 1.0}

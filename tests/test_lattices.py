@@ -77,6 +77,16 @@ def test_decode_matches_enumeration(name):
         assert got <= best * (1 + 1e-9) + 1e-12
 
 
+def test_window_decoder_on_a_skewed_basis():
+    # columns (1,0) and (7,1) generate Z^2, but Babai rounding in this basis
+    # lands far from the nearest point; the n <= 2 decoder must still agree
+    # with the exact sphere decoder
+    lat = new_lattice(np.array([[1.0, 7.0], [0.0, 1.0]]))
+    ys = np.random.default_rng(0).normal(0.0, 5.0, size=(2000, 2))
+    want = np.stack([closest_point(lat, y).coords for y in ys])
+    np.testing.assert_array_equal(decode_batch(lat, ys), want)
+
+
 @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
 def test_scaled_decode_consistent(scale):
     lat = standard_lattice("E8")

@@ -90,7 +90,7 @@ def test_discrete_dither_coset_frequencies():
 def test_dither_requires_nesting():
     two_z = scale_lattice(Z, 2.0)
     with pytest.raises(NotNested):
-        sample_dither_discrete(Z, two_z, 1.0, RngStream(0))
+        sample_dither_discrete(Z, two_z, 1.0, RngStream(0), trials=1)
     with pytest.raises(NotNested):
         check_nested(Z, standard_lattice("Z2"))
     # the valid direction returns the integer embedding matrix
