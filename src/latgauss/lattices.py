@@ -4,9 +4,14 @@ A Lattice wraps a full-rank square basis whose *columns* generate the point
 set {B c : c integer}. Everything downstream (theta sums, exact samplers,
 decoders) relies on three exact primitives implemented here: closest-point
 decoding, Voronoi reduction, and complete enumeration of coset points inside
-a ball. Enumeration is breadth-first over basis levels and fully vectorized,
-so counts in the millions stay cheap; a hard point budget guards against
-runaway regions.
+a ball. Enumeration is breadth-first over basis levels and fully vectorized
+across levels and rows, so counts in the millions stay cheap; a hard point
+budget per row guards against runaway regions.
+
+The Zn, Dn and E8 families decode in closed form. Every other basis decodes
+with one exact sphere decoder: the basis is LLL-reduced once, on first
+decode, Babai's nearest plane in the reduced basis sets each row's radius,
+and one multi-row enumeration collects every candidate inside those radii.
 
 Closest-point ties (inputs equidistant from several lattice points) are
 broken deterministically: smallest squared norm of the candidate point, then
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,11 +70,7 @@ class Lattice:
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise NonSquare(f"basis must be square, got shape {basis.shape}")
         n = basis.shape[0]
-        q, rt = np.linalg.qr(basis)
-        sign = np.sign(np.diag(rt))
-        sign[sign == 0] = 1.0
-        q = q * sign
-        rt = sign[:, None] * rt
+        q, rt = _qr_positive(basis)
         diag = np.abs(np.diag(rt))
         if diag.min() <= 1e-12 * max(diag.max(), 1e-300):
             raise SingularBasis("basis is singular or badly conditioned")
@@ -83,10 +85,6 @@ class Lattice:
         self.gram = basis.T @ basis
         # (family, scale) for closed-form decoders: ("Zn"|"Dn"|"E8", s)
         self._fast = _fast
-        if n <= 2 and _fast is None:
-            # the window decoder searches around Babai in a reduced basis
-            red, u = _lagrange_reduce(basis)
-            self._window = (red, np.linalg.inv(red), u)
         # Upper bound on the covering radius; used to size shared enumerations.
         # Exact for the recognized families, Babai bound otherwise.
         self.covering_bound = 0.5 * float(np.sqrt((diag**2).sum()))
@@ -128,25 +126,38 @@ class Lattice:
         label = self.name or f"{self.n}-dim"
         return f"Lattice({label}, volume={self.volume:.6g})"
 
+    @cached_property
+    def _reduced(self):
+        """(q, rt, u): the LLL-reduced basis basis @ u = q @ rt, u unimodular."""
+        u = _lll(self._basis)
+        return (*_qr_positive(self._basis @ u), u)
 
-def _lagrange_reduce(basis):
-    """Lagrange-reduced basis basis @ u of a 1- or 2-D lattice, and u.
 
-    u is unimodular (int64). The reduced columns satisfy |b0| <= |b1| (up
-    to the tie tolerance) and |<b0, b1>| <= |b0|^2 / 2, so an already
-    reduced basis, A2's included, keeps u = I.
-    """
-    u = np.eye(basis.shape[0], dtype=np.int64)
-    while basis.shape[0] == 2:
-        b = basis @ u
-        if b[:, 1] @ b[:, 1] < (1.0 - _TIE_REL) * (b[:, 0] @ b[:, 0]):
-            u = u[:, ::-1].copy()
-            b = b[:, ::-1]
-        mu = int(np.rint((b[:, 0] @ b[:, 1]) / (b[:, 0] @ b[:, 0])))
-        if mu == 0:
-            break
-        u[:, 1] -= mu * u[:, 0]
-    return basis @ u, u
+def _qr_positive(basis):
+    """basis = q @ rt with rt upper triangular and a nonnegative diagonal."""
+    q, rt = np.linalg.qr(basis)
+    sign = np.where(np.diag(rt) < 0, -1.0, 1.0)
+    return q * sign, sign[:, None] * rt
+
+
+def _lll(basis):
+    """Unimodular int64 u such that the columns of basis @ u are LLL-reduced
+    (Lenstra, Lenstra & Lovasz 1982): size-reduced, Lovasz parameter 0.99."""
+    u = np.eye(basis.shape[1], dtype=np.int64)
+    k = 1
+    while k < basis.shape[1]:
+        r = np.linalg.qr(basis @ u, mode="r")
+        for j in range(k - 1, -1, -1):
+            mu = int(np.rint(r[j, k] / r[j, j]))
+            if mu:
+                u[:, k] -= mu * u[:, j]
+                r[:, k] -= mu * r[:, j]
+        if r[k, k] ** 2 + r[k - 1, k] ** 2 < 0.99 * r[k - 1, k - 1] ** 2:
+            u[:, [k - 1, k]] = u[:, [k, k - 1]]
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    return u
 
 
 def new_lattice(basis, name=None) -> Lattice:
@@ -236,43 +247,45 @@ def from_json(obj: dict) -> Lattice:
 # enumeration
 
 
-def _enumerate_ball(rt, target, radius, budget):
-    """Integer c with ||rt @ c - target|| <= radius; rt upper triangular.
+def _enumerate_ball(rt, targets, radii, budget):
+    """Integer c with ||rt @ c - targets[i]|| <= radii[i], for every row i.
 
-    Returns (coords int64 (m, n), squared distances (m,)). Level-by-level
-    breadth-first expansion, vectorized across all active prefixes.
+    rt is upper triangular. Returns (rows int (k,), coords int64 (k, n),
+    squared distances (k,)) with rows ascending. Level-by-level breadth-first
+    expansion, vectorized across all active prefixes of all rows; each row
+    may need at most `budget` points at any level.
     """
-    n = rt.shape[0]
-    r2 = radius * radius
-    coords = np.zeros((1, 0), dtype=np.int64)
-    partial = np.zeros(1)
+    m, n = targets.shape
+    r2 = radii * radii
+    rows = np.arange(m)
+    coords = np.zeros((m, 0), dtype=np.int64)
+    partial = np.zeros(m)
     for k in range(n - 1, -1, -1):
-        if coords.shape[0] == 0:
-            return np.zeros((0, n), dtype=np.int64), np.zeros(0)
-        tk = target[k] - coords @ rt[k, k + 1 :]
-        half = np.sqrt(np.maximum(r2 - partial, 0.0))
+        tk = targets[rows, k] - coords @ rt[k, k + 1 :]
+        r2k = r2[rows]
+        half = np.sqrt(np.maximum(r2k - partial, 0.0))
         dkk = rt[k, k]
         lo = np.ceil((tk - half) / dkk)
         hi = np.floor((tk + half) / dkk)
         cnt = np.maximum((hi - lo + 1).astype(np.int64), 0)
-        total = int(cnt.sum())
-        if total > budget:
+        need = np.bincount(rows, weights=cnt, minlength=m)
+        if need.max(initial=0) > budget:
+            i = int(np.argmax(need))
             raise BudgetExceeded(
-                f"enumeration needs more than {budget} points at level {k}"
+                f"enumeration in n={n} at radius {radii[i]:.6g} needs "
+                f"{int(need[i])} points at level {k}, over the budget {budget}"
             )
-        if total == 0:
-            return np.zeros((0, n), dtype=np.int64), np.zeros(0)
-        idx = np.repeat(np.arange(coords.shape[0]), cnt)
-        starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-        ck = lo[idx] + (np.arange(total) - np.repeat(starts, cnt))
+        idx = np.repeat(np.arange(rows.shape[0]), cnt)
+        starts = np.cumsum(cnt) - cnt
+        ck = lo[idx] + (np.arange(idx.size) - np.repeat(starts, cnt))
         resid = dkk * ck - tk[idx]
         d2 = partial[idx] + resid * resid
-        keep = d2 <= r2 * (1.0 + 1e-12)
-        coords = np.concatenate(
-            [ck[keep, None].astype(np.int64), coords[idx[keep]]], axis=1
-        )
+        keep = d2 <= r2k[idx] * (1.0 + 1e-12)
+        sel = idx[keep]
+        coords = np.concatenate([ck[keep, None].astype(np.int64), coords[sel]], axis=1)
+        rows = rows[sel]
         partial = d2[keep]
-    return coords, partial
+    return rows, coords, partial
 
 
 def enumerate_coset(lat: Lattice, shift, radius, budget=DEFAULT_ENUM_BUDGET):
@@ -288,7 +301,7 @@ def enumerate_coset(lat: Lattice, shift, radius, budget=DEFAULT_ENUM_BUDGET):
     r = radius * (1.0 + 1e-9)
     # ||B c + shift|| = ||rt c - (-q^T shift)||
     target = -(lat._q.T @ shift)
-    coords, _ = _enumerate_ball(lat._rt, target, r, budget)
+    _, coords, _ = _enumerate_ball(lat._rt, target[None], np.array([r]), budget)
     return coords, lat.embed(coords) + shift
 
 
@@ -336,82 +349,69 @@ def _decode_e8_points(y):
     return np.where(pick_b[:, None], b, a)
 
 
-# window half-width for the direct small-dimension batch decoder
-_WINDOW = 2
-
-
-def _window_offsets(n):
-    grids = np.meshgrid(*([np.arange(-_WINDOW, _WINDOW + 1)] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+# rows per sphere-decoder call; bounds the size of the candidate arrays
+_DECODE_CHUNK = 256
 
 
 def decode_batch(lat: Lattice, points) -> np.ndarray:
     """Closest-point coordinates for each row of `points` (m, n) -> (m, n) int.
 
-    Uses closed-form decoders for the Zn/Dn/E8 families (any scaling), a
-    vectorized Babai-plus-window search in a Lagrange-reduced basis for
-    n <= 2, and the exact sphere decoder row by row otherwise. Boundary
-    ties resolve deterministically.
+    The Zn/Dn/E8 families (any scaling) decode in closed form. Any other
+    basis decodes exactly, 256 rows at a time: Babai's nearest plane in the
+    LLL-reduced basis gives each row a radius, one multi-row enumeration
+    collects every lattice point within it, and the module's tie rule picks
+    one per row in the caller's coordinates. A 1-D array is rejected.
     """
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != lat.n:
-        raise DimensionMismatch(f"expected (m, {lat.n}) points")
-    if lat._fast is not None:
-        family, s = lat._fast
-        y = pts / s
-        if family == "Zn":
-            emb = _round_half_toward_zero(y)
-        elif family == "Dn":
-            emb = _decode_dn_points(y)
-        else:
-            emb = _decode_e8_points(y)
-        coords = lat.coords_of(emb * s)
-    elif lat.n <= 2:
-        red, red_inv, u = lat._window
-        c0 = np.rint(pts @ red_inv.T)
-        cand = c0[:, None, :] + _window_offsets(lat.n)[None, :, :]
-        emb = cand @ red.T
-        d2 = ((emb - pts[:, None, :]) ** 2).sum(axis=2)
-        pick = np.argmin(d2, axis=1)
-        coords = cand[np.arange(pts.shape[0]), pick].astype(np.int64) @ u.T
+    if pts.ndim != 2 or pts.shape[1] != lat.n:
+        raise DimensionMismatch(f"expected (m, {lat.n}) points, got {pts.shape}")
+    if lat._fast is None:
+        coords = np.empty(pts.shape, dtype=np.int64)
+        for a in range(0, pts.shape[0], _DECODE_CHUNK):
+            b = a + _DECODE_CHUNK
+            coords[a:b] = _sphere_decode(lat, pts[a:b])
+        return coords
+    family, s = lat._fast
+    y = pts / s
+    if family == "Zn":
+        emb = _round_half_toward_zero(y)
+    elif family == "Dn":
+        emb = _decode_dn_points(y)
     else:
-        coords = np.stack([closest_point(lat, y).coords for y in pts])
-    return coords[0] if single else coords
+        emb = _decode_e8_points(y)
+    return lat.coords_of(emb * s)
+
+
+def _sphere_decode(lat, pts):
+    """Exact closest-point coordinates of each row, ties by the module rule."""
+    q, rt, u = lat._reduced
+    t = pts @ q  # row i is q^T y_i
+    c = np.zeros(pts.shape)
+    for k in range(lat.n - 1, -1, -1):  # Babai's nearest plane
+        c[:, k] = np.rint((t[:, k] - c[:, k + 1 :] @ rt[k, k + 1 :]) / rt[k, k])
+    radii = np.sqrt(((c @ rt.T - t) ** 2).sum(axis=1)) * (1.0 + 1e-9) + 1e-12
+    rows, cand, d2 = _enumerate_ball(rt, t, radii, DEFAULT_ENUM_BUDGET)
+    dmin = np.full(pts.shape[0], np.inf)
+    np.minimum.at(dmin, rows, d2)
+    tie = d2 <= dmin[rows] + _TIE_REL * (1.0 + dmin[rows])
+    rows, cand = rows[tie], cand[tie] @ u.T
+    norms = (lat.embed(cand) ** 2).sum(axis=1)
+    order = np.lexsort(tuple(cand.T[::-1]) + (norms, rows))
+    first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
+    if first.size != pts.shape[0]:  # cannot happen: each Babai point is inside
+        raise InternalMismatch("empty closest-point search ball")
+    return cand[first]
 
 
 def closest_point(lat: Lattice, y) -> LatticePoint:
-    """Exact closest lattice point to y.
+    """Exact closest lattice point to y: decode_batch on one row.
 
     Ties are broken toward the smaller squared norm of the lattice point and
     then the lexicographically smallest coordinate vector, so the result is
     reproducible across runs and basis representations of the same family.
     """
     y = _check_vec(lat, y)
-    if lat._fast is not None:
-        coords = decode_batch(lat, y[None, :])[0]
-        return LatticePoint(coords, lat.embed(coords))
-    # seed radius from Babai's nearest plane, then enumerate the closed ball
-    c0 = np.rint(lat._binv @ y)
-    d0 = float(np.linalg.norm(lat.basis @ c0 - y))
-    target = lat._q.T @ y
-    radius = d0 * (1.0 + 1e-9) + 1e-12
-    coords, d2 = _enumerate_ball(lat._rt, target, radius, DEFAULT_ENUM_BUDGET)
-    if coords.shape[0] == 0:  # cannot happen: Babai point is inside
-        raise InternalMismatch("empty closest-point search ball")
-    dmin = d2.min()
-    tie = np.flatnonzero(d2 <= dmin + _TIE_REL * (1.0 + dmin))
-    if tie.size > 1:
-        emb = lat.embed(coords[tie])
-        norms = (emb**2).sum(axis=1)
-        order = sorted(
-            range(tie.size), key=lambda i: (norms[i], tuple(coords[tie[i]]))
-        )
-        best = tie[order[0]]
-    else:
-        best = tie[0]
-    c = coords[best]
+    c = decode_batch(lat, y[None, :])[0]
     return LatticePoint(c, lat.embed(c))
 
 

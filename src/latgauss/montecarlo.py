@@ -123,8 +123,7 @@ def mean_ci(values, seed=0, pad=0.0) -> CIEstimate:
 
 
 def _escape_count(lat, points):
-    c = decode_batch(lat, points)
-    return np.asarray(c).reshape(points.shape[0], -1).any(axis=1)
+    return decode_batch(lat, points).any(axis=1)
 
 
 def voronoi_escape(lat: Lattice, sigma, trials, rng: RngStream,

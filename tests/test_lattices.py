@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latgauss.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     InvalidParams,
     NonSquare,
@@ -11,6 +12,7 @@ from latgauss.errors import (
     UnknownName,
 )
 from latgauss.lattices import (
+    _TIE_REL,
     closest_point,
     decode_batch,
     dual,
@@ -64,23 +66,68 @@ def test_dn_tie_prefers_smaller_norm():
     assert np.all(d2.embed(c) == 0.0)
 
 
-@pytest.mark.parametrize("name", ["Z3", "D3", "D4", "E8", "A2"])
+def _unit_volume(lat):
+    return scale_lattice(lat, lat.volume ** (-1.0 / lat.n))
+
+
+# name -> (lattice builder, input sigma, rows decoded, rows checked by
+# enumeration); the two Z^2 bases are the skewed (1,0),(7,1) and its reduced
+# form, and the Construction-A members come from RngStream(20240901, 0)
+DECODE_CASES = {
+    **{name: (lambda name=name: standard_lattice(name), 1.7, 40, 40)
+       for name in ["Z3", "D3", "D4", "E8", "A2"]},
+    "Z2-skewed": (lambda: new_lattice([[1.0, 7.0], [0.0, 1.0]]), 1.7, 40, 40),
+    "Z2-reduced": (lambda: new_lattice(np.eye(2)), 1.7, 40, 40),
+    "conA-8-4-5": (lambda: random_mod_p_lattice(8, 4, 5, RngStream(20240901, 0)),
+                   1.7, 40, 40),
+    "conA-16-8-3": (lambda: _unit_volume(
+        random_mod_p_lattice(16, 8, 3, RngStream(20240901, 0))), 0.2, 50, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(DECODE_CASES))
 def test_decode_matches_enumeration(name):
-    lat = standard_lattice(name)
+    build, sigma, rows, checked = DECODE_CASES[name]
+    lat = build()
     gen = RngStream(7).generator()
-    ys = gen.normal(0.0, 1.7, size=(40, lat.n))
+    ys = gen.normal(0.0, sigma, size=(rows, lat.n))
     pts = lat.embed(decode_batch(lat, ys))
-    for y, p in zip(ys, pts):
-        _, cands = enumerate_coset(lat, -y, lat.covering_bound * (1 + 1e-9))
-        best = (cands**2).sum(axis=1).min()
+    for y, p in list(zip(ys, pts))[:checked]:
         got = float((y - p) @ (y - p))
+        # every strictly closer point lies inside the ball through p
+        _, cands = enumerate_coset(lat, -y, math.sqrt(got))
+        best = (cands**2).sum(axis=1).min()
         assert got <= best * (1 + 1e-9) + 1e-12
+
+
+def test_a2_boundary_ties_follow_the_tie_rule():
+    # edge midpoints and Voronoi vertices around six A2 points: each input is
+    # equidistant from two or three lattice points
+    a2 = standard_lattice("A2")
+    centres = a2.embed(np.array([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, -1)]))
+    v = a2.embed(np.array([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]))
+    offsets = np.concatenate([v / 2, (v + np.roll(v, -1, axis=0)) / 3])
+    ys = (centres[:, None, :] + offsets).reshape(-1, 2)
+    got = decode_batch(a2, ys)
+    for y, c in zip(ys, got):
+        np.testing.assert_array_equal(c, closest_point(a2, y).coords)
+        # reference rule: among the nearest points (within _TIE_REL), the
+        # smallest norm, then the lexicographically smallest coordinates
+        d2 = float(((a2.embed(c) - y) ** 2).sum())
+        coords, pts = enumerate_coset(a2, -y, math.sqrt(d2))
+        dist = (pts**2).sum(axis=1)
+        tie = coords[dist <= dist.min() + _TIE_REL * (1.0 + dist.min())]
+        norms = (a2.embed(tie) ** 2).sum(axis=1)
+        assert tuple(c) == min(zip(norms, map(tuple, tie.tolist())))[1]
+    # the vertex (-0.5, -0.2887) of the origin's cell decodes to the origin
+    np.testing.assert_allclose(ys[9], [-0.5, -0.5 / math.sqrt(3)])
+    np.testing.assert_array_equal(got[9], [0, 0])
 
 
 def test_window_decoder_on_a_skewed_basis():
     # columns (1,0) and (7,1) generate Z^2, but Babai rounding in this basis
-    # lands far from the nearest point; the n <= 2 decoder must still agree
-    # with the exact sphere decoder
+    # lands far from the nearest point; the batch decoder must still agree
+    # with closest_point row by row
     lat = new_lattice(np.array([[1.0, 7.0], [0.0, 1.0]]))
     ys = np.random.default_rng(0).normal(0.0, 5.0, size=(2000, 2))
     want = np.stack([closest_point(lat, y).coords for y in ys])
@@ -103,6 +150,12 @@ def test_a2_kissing_number():
     norms = np.sort((pts**2).sum(axis=1))
     assert norms[0] == 0.0
     assert np.allclose(norms[1:], 1.0)
+
+
+def test_empty_ball_enumerates_nothing():
+    # the ball reaches the top levels but holds no point of the coset
+    coords, pts = enumerate_coset(standard_lattice("E8"), np.full(8, 0.3), 0.05)
+    assert coords.shape == (0, 8) and pts.shape == (0, 8)
 
 
 def test_e8_minimal_vectors():
@@ -246,6 +299,20 @@ def test_unknown_names_rejected(name):
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         closest_point(standard_lattice("Z2"), np.array([1.0]))
+
+
+@pytest.mark.parametrize("name", ["Z", "A2", "E8"])
+def test_decode_batch_takes_and_returns_rows(name):
+    lat = standard_lattice(name)
+    assert decode_batch(lat, np.zeros((3, lat.n))).shape == (3, lat.n)
+    with pytest.raises(DimensionMismatch):
+        decode_batch(lat, np.zeros(lat.n))
+
+
+def test_budget_exceeded_names_what_the_row_needs():
+    with pytest.raises(BudgetExceeded, match=r"^enumeration in n=2 at radius 3 "
+                       r"needs 7 points at level 1, over the budget 5$"):
+        enumerate_coset(standard_lattice("A2"), np.zeros(2), 3.0, budget=5)
 
 
 def test_coords_of_rejects_off_lattice():
