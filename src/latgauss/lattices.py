@@ -85,17 +85,6 @@ class Lattice:
         self.gram = basis.T @ basis
         # (family, scale) for closed-form decoders: ("Zn"|"Dn"|"E8", s)
         self._fast = _fast
-        # Upper bound on the covering radius; used to size shared enumerations.
-        # Exact for the recognized families, Babai bound otherwise.
-        self.covering_bound = 0.5 * float(np.sqrt((diag**2).sum()))
-        if _fast is not None:
-            fam, s = _fast
-            if fam == "Zn":
-                self.covering_bound = s * math.sqrt(n) / 2
-            elif fam == "Dn":
-                self.covering_bound = s * (1.0 if n <= 3 else math.sqrt(n) / 2)
-            elif fam == "E8":
-                self.covering_bound = s
 
     @property
     def basis(self):
@@ -125,6 +114,24 @@ class Lattice:
     def __repr__(self):
         label = self.name or f"{self.n}-dim"
         return f"Lattice({label}, volume={self.volume:.6g})"
+
+    @cached_property
+    def covering_bound(self):
+        """Upper bound on the covering radius; sizes shared enumerations.
+
+        Exact for the Zn, Dn and E8 families. Otherwise the smaller Babai
+        bound, half the norm of the triangular diagonal, of the basis and
+        of its LLL reduction.
+        """
+        if self._fast is not None:
+            fam, s = self._fast
+            if fam == "Zn":
+                return s * math.sqrt(self.n) / 2
+            if fam == "Dn":
+                return s * (1.0 if self.n <= 3 else math.sqrt(self.n) / 2)
+            return s
+        return min(0.5 * float(np.sqrt((np.diag(rt) ** 2).sum()))
+                   for rt in (self._rt, self._reduced[1]))
 
     @cached_property
     def _reduced(self):
@@ -360,11 +367,16 @@ def decode_batch(lat: Lattice, points) -> np.ndarray:
     basis decodes exactly, 256 rows at a time: Babai's nearest plane in the
     LLL-reduced basis gives each row a radius, one multi-row enumeration
     collects every lattice point within it, and the module's tie rule picks
-    one per row in the caller's coordinates. A 1-D array is rejected.
+    one per row in the caller's coordinates. A 1-D array raises
+    DimensionMismatch and a non-finite row InvalidParams.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != lat.n:
         raise DimensionMismatch(f"expected (m, {lat.n}) points, got {pts.shape}")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InvalidParams(f"cannot decode row {i}, it is not finite: {pts[i].tolist()}")
     if lat._fast is None:
         coords = np.empty(pts.shape, dtype=np.int64)
         for a in range(0, pts.shape[0], _DECODE_CHUNK):

@@ -13,6 +13,12 @@ conservative factor-two slack throughout. Sums are accumulated with exact
 (fsum) summation after factoring out the largest exponent, which keeps tiny
 masses meaningful and makes results independent of enumeration order.
 
+Batches of shifted rows share one path: padded_coset_support enumerates a
+single ball, certified by the same radius rule and padded by the covering
+bound, for every row of a batch. It is behind batch_coset_stats here and
+sampling.batch_coset_sample. Scaled Z^n has no path of its own: its coset
+law is the product of n laws on the line cZ, so it runs as n rows of cZ.
+
 On top of that primitive: the zero-point probability mass, exact entropy via
 two independent routes (a mass/second-moment identity and a direct -sum p
 log p), the smoothing parameter, flatness-factor brackets, the effective
@@ -36,6 +42,7 @@ from .lattices import (
     mod_lattice,
     reduce_batch,
     scale_lattice,
+    standard_lattice,
 )
 
 
@@ -122,6 +129,29 @@ def gaussian_pdf(sigma, x):
     return np.exp(-norm2 / (2 * sigma**2)) / (2 * np.pi * sigma**2) ** (n / 2)
 
 
+def _certified_radius(lat, rnorm2, sigma, rel_tol, budget):
+    """(radius, tail): a ball around a coset point of squared norm rnorm2
+    that misses at most tail <= rel_tol of the coset's mass.
+
+    Centered, the norm tail bound applies directly. Shifted, it controls
+    the tail relative to the centered sum, which is certified to rel_tol / 2
+    and so is at most (1 + rel_tol) times its enumerated value, and the
+    nearest-point weight alone lower-bounds the coset sum.
+    """
+    if rnorm2 <= (1e-12 * sigma) ** 2:
+        log_target = math.log(rel_tol / 2)
+        log_extra = 0.0
+    else:
+        centered = enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol / 2, budget)
+        log_m0 = -rnorm2 / (2 * sigma**2)
+        log_rho_c = centered.log_raw_sum + math.log1p(rel_tol)
+        log_target = math.log(rel_tol / 4) + log_m0 - log_rho_c
+        log_extra = log_rho_c - log_m0
+    t = solve_tail_t(lat.n, log_target)
+    tail = 2 * math.exp(min(lat.n * _tail_h(t) + log_extra, math.log(rel_tol / 2)))
+    return sigma * math.sqrt(2 * lat.n * t), tail
+
+
 def enumerate_masses(
     lat: Lattice, shift, sigma, rel_tol=1e-9, budget=DEFAULT_ENUM_BUDGET
 ) -> CosetEnumeration:
@@ -131,21 +161,7 @@ def enumerate_masses(
         raise InvalidParams("rel_tol must be in (0, 1)")
     shift = np.asarray(shift, dtype=float)
     r = mod_lattice(lat, shift)
-    rnorm2 = float(r @ r)
-    if rnorm2 <= (1e-12 * sigma) ** 2:
-        # centered: the tail bound applies directly
-        log_target = math.log(rel_tol / 2)
-        log_extra = 0.0
-    else:
-        # shifted: the bound controls the tail relative to the centered sum,
-        # and the nearest-point weight alone lower-bounds the coset sum
-        centered = enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol / 2, budget)
-        log_m0 = -rnorm2 / (2 * sigma**2)
-        log_rho_c = centered.log_raw_sum + math.log1p(rel_tol)
-        log_target = math.log(rel_tol / 4) + log_m0 - log_rho_c
-        log_extra = log_rho_c - log_m0
-    t = solve_tail_t(lat.n, log_target)
-    radius = sigma * math.sqrt(2 * lat.n * t)
+    radius, tail = _certified_radius(lat, float(r @ r), sigma, rel_tol, budget)
     coords, points = enumerate_coset(lat, r, radius, budget)
     if points.shape[0] == 0:
         raise InternalMismatch("certified ball contains no coset point")
@@ -154,7 +170,6 @@ def enumerate_masses(
     weights = np.exp(-(norm2 - emin) / (2 * sigma**2))
     wsum = math.fsum(weights.tolist())
     log_raw = -emin / (2 * sigma**2) + math.log(wsum)
-    tail = 2 * math.exp(min(lat.n * _tail_h(t) + log_extra, math.log(rel_tol / 2)))
     return CosetEnumeration(
         coords=coords,
         points=points,
@@ -314,11 +329,7 @@ def padded_coset_support(lat: Lattice, rows, sigma, rel_tol=1e-9,
     (and near 8M entries of d2), d2[i, j] = ||rows[a + i] + x_j||^2.
     """
     mu = lat.covering_bound
-    centered = enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol / 2, budget)
-    log_m0 = -(mu**2) / (2 * sigma**2)
-    log_target = math.log(rel_tol / 4) + log_m0 - centered.log_raw_sum
-    t = solve_tail_t(lat.n, log_target)
-    radius = sigma * math.sqrt(2 * lat.n * t) + mu
+    radius = _certified_radius(lat, mu**2, sigma, rel_tol, budget)[0] + mu
     scoords, spts = enumerate_coset(lat, np.zeros(lat.n), radius, budget)
     sn2 = (spts**2).sum(axis=1)
     chunk = max(1, min(chunk, (1 << 23) // max(1, len(sn2))))
@@ -333,22 +344,43 @@ def padded_coset_support(lat: Lattice, rows, sigma, rel_tol=1e-9,
     return scoords, chunks()
 
 
+def coordinate_line(lat: Lattice):
+    """The line c*Z whose n-fold product is lat = c*Z^n, for n > 1; else None.
+
+    D_{cZ^n+t,sigma} is the product of the n laws D_{cZ+t_j,sigma}, so the
+    batch paths run such a lattice as n rows of its line per row.
+    """
+    if lat.family is None or lat.family[0] != "Zn" or lat.n == 1:
+        return None
+    return scale_lattice(standard_lattice("Z"), lat.basis[0, 0])
+
+
 def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9,
                       budget=DEFAULT_ENUM_BUDGET, chunk=256):
     """Per-row coset mass and exact conditional second moment.
 
     For each row r of `shifts` (must already lie in the Voronoi cell, see
     reduce_batch) returns f_sigma(Lambda + r) and E[||X||^2] for
-    X ~ D_{Lambda+r,sigma}, over the shared padded_coset_support.
+    X ~ D_{Lambda+r,sigma}, over the shared padded_coset_support. Scaled
+    Z^n (n > 1) runs as n rows of its coordinate_line per row, each
+    reduced and certified to rel_tol / n: the mass is their product and
+    the power their sum.
     """
     _check_sigma(sigma)
     shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
-    if lat.family is not None and lat.family[0] == "Zn":
-        return _zn_coset_stats(lat.family[1], shifts, sigma, chunk)
+    m, n = shifts.shape
+    if n != lat.n:
+        raise InvalidParams(f"shift width {n} does not match the lattice dimension {lat.n}")
+    line = coordinate_line(lat)
+    if line is not None:
+        rows = reduce_batch(line, shifts.reshape(-1, 1))
+        st = batch_coset_stats(line, rows, sigma, rel_tol / n, budget, chunk * n)
+        return {"mass": st["mass"].reshape(m, n).prod(axis=1),
+                "power": st["power"].reshape(m, n).sum(axis=1)}
     _, chunks = padded_coset_support(lat, shifts, sigma, rel_tol, budget, chunk)
-    mass = np.empty(shifts.shape[0])
-    power = np.empty(shifts.shape[0])
-    norm = (2 * math.pi * sigma**2) ** (lat.n / 2)
+    mass = np.empty(m)
+    power = np.empty(m)
+    norm = (2 * math.pi * sigma**2) ** (n / 2)
     for a, b, d2 in chunks:
         e = -d2 / (2 * sigma**2)
         emax = e.max(axis=1, keepdims=True)
@@ -356,34 +388,6 @@ def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9,
         tot = w.sum(axis=1)
         mass[a:b] = np.exp(emax[:, 0]) * tot / norm
         power[a:b] = (w * d2).sum(axis=1) / tot
-    return {"mass": mass, "power": power}
-
-
-def _zn_coset_stats(c, shifts, sigma, chunk):
-    """Factorized rows for scaled Z^n: mass is a product, power a sum.
-
-    Windows of 20 sigma per coordinate leave a tail far below every
-    supported rel_tol.
-    """
-    m, n = shifts.shape
-    h = int(math.ceil((20.0 * sigma + 0.5 * c) / c)) + 1
-    ks = np.arange(-h, h + 1) * c
-    mass = np.empty(m)
-    power = np.empty(m)
-    log_norm = 0.5 * math.log(2 * math.pi * sigma**2)
-    rows = max(1, min(m, (1 << 22) // (n * (2 * h + 1))))
-    for a in range(0, m, rows):
-        b = min(a + rows, m)
-        red = shifts[a:b] - c * np.rint(shifts[a:b] / c)
-        v = red[:, :, None] + ks
-        e = -(v**2) / (2 * sigma**2)
-        emax = e.max(axis=2, keepdims=True)
-        w = np.exp(e - emax)
-        mj = w.sum(axis=2)
-        sj = (w * v**2).sum(axis=2) / mj
-        logs = emax[:, :, 0] + np.log(mj)
-        mass[a:b] = np.exp(logs.sum(axis=1) - n * log_norm)
-        power[a:b] = sj.sum(axis=1)
     return {"mass": mass, "power": power}
 
 
@@ -425,7 +429,7 @@ def random_lattice_mean_check(n, volume, trials, sigma, rng, p=127, k=None) -> d
     (origin term plus average nonzero-point integral). Returns the empirical
     mean, its standard error and the prediction.
     """
-    from .lattices import random_mod_p_lattice, standard_lattice
+    from .lattices import random_mod_p_lattice
 
     if trials < 2:
         raise InvalidParams("need at least two trials")

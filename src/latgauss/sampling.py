@@ -29,7 +29,7 @@ from .lattices import (
     decode_batch,
     reduce_batch,
 )
-from .measures import enumerate_masses, padded_coset_support, solve_tail_t
+from .measures import coordinate_line, enumerate_masses, padded_coset_support
 from .rng import RngStream
 
 DEFAULT_TAIL = 1e-12
@@ -152,18 +152,21 @@ def batch_coset_sample(lat: Lattice, shifts, sigma, rng: RngStream,
     Returns (points, coords) with points = shifts + embed(coords) exactly.
     A single shared enumeration (padded by the covering bound) supports all
     rows; each row keeps a certified truncation of at most rel_tol mass.
-    Coordinate-wise factorization handles scaled-Z lattices directly.
+    Scaled Z^n (n > 1) runs as n rows of its coordinate_line per row, each
+    certified to rel_tol / n, and draws the same uniforms in the same order.
     """
     shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
     m = shifts.shape[0]
     if shifts.shape[1] != lat.n:
         raise InvalidParams("shift dimension mismatch")
-    zn = lat.family is not None and lat.family[0] == "Zn"
-    u = rng.generator().random((m, lat.n) if zn else m)
-    if zn:
-        coords = _zn_rows(lat, shifts, sigma, rel_tol, u)
+    line = coordinate_line(lat)
+    if line is not None:
+        _, coords = batch_coset_sample(line, shifts.reshape(-1, 1), sigma, rng,
+                                       rel_tol / lat.n, budget, chunk * lat.n)
+        coords = coords.reshape(m, lat.n)
         return shifts + lat.embed(coords), coords
 
+    u = rng.generator().random(m)
     anchors = decode_batch(lat, shifts)
     red = shifts - lat.embed(anchors)
     scoords, chunks = padded_coset_support(lat, red, sigma, rel_tol, budget, chunk)
@@ -175,25 +178,3 @@ def batch_coset_sample(lat: Lattice, shifts, sigma, rng: RngStream,
         idx = (cs < target[:, None]).sum(axis=1)
         coords[a:b] = scoords[idx] - anchors[a:b]
     return shifts + lat.embed(coords), coords
-
-
-def _zn_rows(lat, shifts, sigma, rel_tol, u):
-    """Per-coordinate exact sampling for c*Z^n: the coset factorizes."""
-    c = lat.family[1]
-    n = lat.n
-    k0 = int(math.ceil(20 * sigma / c)) + 2
-    rho_c = float(np.exp(-(np.arange(-k0, k0 + 1) * c) ** 2 / (2 * sigma**2)).sum())
-    t = solve_tail_t(
-        1,
-        math.log(rel_tol / (4 * n)) - (c / 2) ** 2 / (2 * sigma**2) - math.log(rho_c),
-    )
-    radius = sigma * math.sqrt(2 * t)
-    half = int(math.ceil((radius + c / 2) / c))
-    base = -np.rint(shifts / c)  # (m, n): nearest coset point per coordinate
-    offs = np.arange(-half, half + 1)  # (2K+1,)
-    vals = (base[..., None] + offs) * c + shifts[..., None]
-    w = np.exp(-(vals**2 - (vals**2).min(axis=-1, keepdims=True)) / (2 * sigma**2))
-    cs = np.cumsum(w, axis=-1)
-    target = u[..., None] * cs[..., -1:]
-    idx = (cs < target).sum(axis=-1)
-    return (base + offs[idx]).astype(np.int64)

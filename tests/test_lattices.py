@@ -271,14 +271,24 @@ def test_covering_bound_exact_families(name, cov):
     assert standard_lattice(name).covering_bound == pytest.approx(cov)
 
 
-@pytest.mark.parametrize("name", ["A2", "D3", "E8"])
+COVERING_CASES = {
+    **{name: (lambda name=name: standard_lattice(name)) for name in ["A2", "D3", "E8"]},
+    "conA-8-4-5": lambda: _unit_volume(
+        random_mod_p_lattice(8, 4, 5, RngStream(20240901, 0))),
+}
+
+
+@pytest.mark.parametrize("name", list(COVERING_CASES))
 def test_reduction_inside_covering_bound(name):
-    lat = standard_lattice(name)
+    lat = COVERING_CASES[name]()
     gen = RngStream(5).generator()
     pts = gen.normal(0.0, 2.0, size=(200, lat.n))
     red = reduce_batch(lat, pts)
     norms = np.sqrt((red**2).sum(axis=1))
     assert norms.max() <= lat.covering_bound * (1 + 1e-9)
+    # never above the Babai bound of the basis as given
+    rt = np.linalg.qr(lat.basis, mode="r")
+    assert lat.covering_bound <= 0.5 * math.sqrt((np.diag(rt) ** 2).sum())
     # reduction only subtracts lattice points
     lat.coords_of(pts - red)
 
@@ -307,6 +317,17 @@ def test_decode_batch_takes_and_returns_rows(name):
     assert decode_batch(lat, np.zeros((3, lat.n))).shape == (3, lat.n)
     with pytest.raises(DimensionMismatch):
         decode_batch(lat, np.zeros(lat.n))
+
+
+@pytest.mark.parametrize("name", ["Z4", "A2", "E8"])
+def test_decode_batch_rejects_non_finite_rows(name):
+    lat = standard_lattice(name)
+    ys = np.zeros((3, lat.n))
+    ys[1, 0] = np.nan
+    ys[2, 0] = np.inf
+    with pytest.raises(InvalidParams,
+                       match=r"^cannot decode row 1, it is not finite: \[nan, 0\.0"):
+        decode_batch(lat, ys)
 
 
 def test_budget_exceeded_names_what_the_row_needs():

@@ -211,23 +211,30 @@ def test_flatness_rejects_bad_args():
 
 
 def test_batch_coset_stats_fast_path_matches_generic():
-    # [[1,1],[0,1]] generates Z^2 but defeats the factorized route, so the
-    # two code paths must agree on identical shifts
-    z2 = standard_lattice("Z2")
-    sheared = new_lattice([[1.0, 1.0], [0.0, 1.0]])
-    pts = reduce_batch(z2, np.random.default_rng(3).normal(size=(40, 2)))
-    fast = batch_coset_stats(z2, pts, 0.9)
-    slow = batch_coset_stats(sheared, pts, 0.9)
-    np.testing.assert_allclose(fast["mass"], slow["mass"], rtol=1e-10)
-    np.testing.assert_allclose(fast["power"], slow["power"], rtol=1e-10)
+    # a sheared basis generates the same c*Z^n but defeats the factorized
+    # route, so the two code paths must agree on identical shifts
+    for c, shear in [(1.0, [[1.0, 1.0], [0.0, 1.0]]),
+                     (0.7, [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])]:
+        n = len(shear)
+        zn = scale_lattice(standard_lattice(f"Z{n}"), c)
+        sheared = new_lattice(c * np.array(shear))
+        pts = reduce_batch(zn, np.random.default_rng(3).normal(size=(40, n)))
+        fast = batch_coset_stats(zn, pts, 0.9)
+        slow = batch_coset_stats(sheared, pts, 0.9)
+        np.testing.assert_allclose(fast["mass"], slow["mass"], rtol=1e-10)
+        np.testing.assert_allclose(fast["power"], slow["power"], rtol=1e-10)
 
 
 def test_batch_coset_stats_matches_scalar_mass():
     z2 = standard_lattice("Z2")
     pts = reduce_batch(z2, np.random.default_rng(4).normal(size=(10, 2)))
-    got = batch_coset_stats(z2, pts, 0.9)
-    for row, m in zip(pts, got["mass"]):
-        assert m == pytest.approx(gaussian_mass(z2, row, 0.9).value, rel=1e-10)
+    z3 = scale_lattice(standard_lattice("Z3"), 0.7)
+    pts3 = reduce_batch(z3, np.random.default_rng(4).normal(size=(10, 3)))
+    pts3 = np.vstack([pts3, [0.35, 0.35, 0.35]])  # a deep hole
+    for lat, rows in [(z2, pts), (z3, pts3)]:
+        got = batch_coset_stats(lat, rows, 0.9)
+        for row, m in zip(rows, got["mass"]):
+            assert m == pytest.approx(gaussian_mass(lat, row, 0.9).value, rel=1e-10)
 
 
 def test_batch_coset_stats_power_oracle():

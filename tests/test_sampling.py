@@ -136,3 +136,5 @@ def test_batch_sample_generic_second_moment():
 def test_batch_sample_rejects_wrong_width():
     with pytest.raises(InvalidParams):
         batch_coset_sample(Z, np.zeros((5, 2)), 1.0, RngStream(0))
+    with pytest.raises(InvalidParams):
+        batch_coset_stats(standard_lattice("Z4"), np.zeros((5, 3)), 1.0)
