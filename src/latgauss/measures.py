@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import BracketFailure, InternalMismatch, InvalidParams
 from .lattices import (
-    DEFAULT_ENUM_BUDGET,
     Lattice,
     dual,
     enumerate_coset,
@@ -68,7 +67,6 @@ class CosetEnumeration:
     coords: np.ndarray
     points: np.ndarray
     weights: np.ndarray
-    log_shift: float  # -min_exponent
     log_raw_sum: float
     truncation_radius: float
     tail_bound: float
@@ -129,7 +127,7 @@ def gaussian_pdf(sigma, x):
     return np.exp(-norm2 / (2 * sigma**2)) / (2 * np.pi * sigma**2) ** (n / 2)
 
 
-def _certified_radius(lat, rnorm2, sigma, rel_tol, budget):
+def _certified_radius(lat, rnorm2, sigma, rel_tol):
     """(radius, tail): a ball around a coset point of squared norm rnorm2
     that misses at most tail <= rel_tol of the coset's mass.
 
@@ -142,7 +140,7 @@ def _certified_radius(lat, rnorm2, sigma, rel_tol, budget):
         log_target = math.log(rel_tol / 2)
         log_extra = 0.0
     else:
-        centered = enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol / 2, budget)
+        centered = enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol / 2)
         log_m0 = -rnorm2 / (2 * sigma**2)
         log_rho_c = centered.log_raw_sum + math.log1p(rel_tol)
         log_target = math.log(rel_tol / 4) + log_m0 - log_rho_c
@@ -152,17 +150,15 @@ def _certified_radius(lat, rnorm2, sigma, rel_tol, budget):
     return sigma * math.sqrt(2 * lat.n * t), tail
 
 
-def enumerate_masses(
-    lat: Lattice, shift, sigma, rel_tol=1e-9, budget=DEFAULT_ENUM_BUDGET
-) -> CosetEnumeration:
+def enumerate_masses(lat: Lattice, shift, sigma, rel_tol=1e-9) -> CosetEnumeration:
     """Enumerate the coset support carrying all but rel_tol of its mass."""
     _check_sigma(sigma)
     if not (0 < rel_tol < 1):
         raise InvalidParams("rel_tol must be in (0, 1)")
     shift = np.asarray(shift, dtype=float)
     r = mod_lattice(lat, shift)
-    radius, tail = _certified_radius(lat, float(r @ r), sigma, rel_tol, budget)
-    coords, points = enumerate_coset(lat, r, radius, budget)
+    radius, tail = _certified_radius(lat, float(r @ r), sigma, rel_tol)
+    coords, points = enumerate_coset(lat, r, radius)
     if points.shape[0] == 0:
         raise InternalMismatch("certified ball contains no coset point")
     norm2 = (points * points).sum(axis=1)
@@ -174,7 +170,6 @@ def enumerate_masses(
         coords=coords,
         points=points,
         weights=weights,
-        log_shift=-emin / (2 * sigma**2),
         log_raw_sum=log_raw,
         truncation_radius=radius,
         tail_bound=tail,
@@ -231,7 +226,7 @@ def entropy_exact(lat: Lattice, shift, sigma, tol=1e-9) -> float:
     return h_ident
 
 
-def smoothing_parameter(lat: Lattice, eps, budget=DEFAULT_ENUM_BUDGET) -> SmoothingResult:
+def smoothing_parameter(lat: Lattice, eps) -> SmoothingResult:
     """Unique s > 0 with g(s) = sum_{x in Lambda\\0} exp(-||s x||^2 / 2) = eps.
 
     Every evaluation of g re-enumerates its own certified support, so the
@@ -239,11 +234,11 @@ def smoothing_parameter(lat: Lattice, eps, budget=DEFAULT_ENUM_BUDGET) -> Smooth
     """
     if not (0 < eps < 1):
         raise InvalidParams("eps must be in (0, 1)")
-    lam1 = _shortest_norm(lat, budget)
+    lam1 = _shortest_norm(lat)
     rel = max(1e-14, 1e-10 * eps)
 
     def g(s):
-        data = enumerate_masses(lat, np.zeros(lat.n), 1.0 / s, rel, budget)
+        data = enumerate_masses(lat, np.zeros(lat.n), 1.0 / s, rel)
         n2 = (data.points**2).sum(axis=1)
         n2 = n2[n2 > 1e-18 * lam1**2]
         return float(math.fsum(np.exp(-s * s * n2 / 2).tolist()))
@@ -275,11 +270,11 @@ def smoothing_parameter(lat: Lattice, eps, budget=DEFAULT_ENUM_BUDGET) -> Smooth
     return SmoothingResult(s=s, eps=eps, residual=abs(val - eps))
 
 
-def _shortest_norm(lat, budget=DEFAULT_ENUM_BUDGET):
+def _shortest_norm(lat):
     """Exact length of a shortest nonzero vector."""
     r = float(np.linalg.norm(lat.basis, axis=0).min())
     while True:
-        _, pts = enumerate_coset(lat, np.zeros(lat.n), r, budget)
+        _, pts = enumerate_coset(lat, np.zeros(lat.n), r)
         n2 = (pts**2).sum(axis=1)
         n2 = n2[n2 > 1e-18 * r * r]
         if n2.size:
@@ -315,8 +310,7 @@ def flatness_factor(lat: Lattice, sigma, samples=512, seed=0) -> FlatnessBracket
     return FlatnessBracket(lower=lower, upper=upper, samples=samples)
 
 
-def padded_coset_support(lat: Lattice, rows, sigma, rel_tol=1e-9,
-                         budget=DEFAULT_ENUM_BUDGET, chunk=256):
+def padded_coset_support(lat: Lattice, rows, sigma, rel_tol=1e-9, chunk=256):
     """One certified support shared by D_{Lambda+r,sigma} for all rows r.
 
     Rows must lie in the Voronoi cell (see reduce_batch), so their norms
@@ -329,8 +323,8 @@ def padded_coset_support(lat: Lattice, rows, sigma, rel_tol=1e-9,
     (and near 8M entries of d2), d2[i, j] = ||rows[a + i] + x_j||^2.
     """
     mu = lat.covering_bound
-    radius = _certified_radius(lat, mu**2, sigma, rel_tol, budget)[0] + mu
-    scoords, spts = enumerate_coset(lat, np.zeros(lat.n), radius, budget)
+    radius = _certified_radius(lat, mu**2, sigma, rel_tol)[0] + mu
+    scoords, spts = enumerate_coset(lat, np.zeros(lat.n), radius)
     sn2 = (spts**2).sum(axis=1)
     chunk = max(1, min(chunk, (1 << 23) // max(1, len(sn2))))
 
@@ -355,8 +349,7 @@ def coordinate_line(lat: Lattice):
     return scale_lattice(standard_lattice("Z"), lat.basis[0, 0])
 
 
-def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9,
-                      budget=DEFAULT_ENUM_BUDGET, chunk=256):
+def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9, chunk=256):
     """Per-row coset mass and exact conditional second moment.
 
     For each row r of `shifts` (must already lie in the Voronoi cell, see
@@ -374,10 +367,10 @@ def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9,
     line = coordinate_line(lat)
     if line is not None:
         rows = reduce_batch(line, shifts.reshape(-1, 1))
-        st = batch_coset_stats(line, rows, sigma, rel_tol / n, budget, chunk * n)
+        st = batch_coset_stats(line, rows, sigma, rel_tol / n, chunk * n)
         return {"mass": st["mass"].reshape(m, n).prod(axis=1),
                 "power": st["power"].reshape(m, n).sum(axis=1)}
-    _, chunks = padded_coset_support(lat, shifts, sigma, rel_tol, budget, chunk)
+    _, chunks = padded_coset_support(lat, shifts, sigma, rel_tol, chunk)
     mass = np.empty(m)
     power = np.empty(m)
     norm = (2 * math.pi * sigma**2) ** (n / 2)

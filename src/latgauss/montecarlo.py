@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .codec import (
     CodecConfig,
@@ -34,7 +34,7 @@ from .errors import InternalMismatch, InvalidParams, ResolutionExceeded
 from .lattices import (
     Lattice,
     decode_batch,
-    enumerate_coset,
+    enumerate_coset,  # noqa: F401  unused; perfbench/test_run.py asserts this binding
     reduce_batch,
     scale_lattice,
     standard_lattice,
@@ -51,6 +51,7 @@ from .sampling import (
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 TWO_PI_E = 2 * math.pi * math.e
+ESCAPE_CHUNK = 1 << 17  # rows per voronoi_escape child stream
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,8 @@ def proportion_ci(successes, trials, seed=0) -> CIEstimate:
     k, n = int(successes), int(trials)
     if not 0 <= k <= n or n < 1:
         raise InvalidParams("need 0 <= successes <= trials")
-    lo = 0.0 if k == 0 else float(stats.beta.ppf(0.005, k, n - k + 1))
-    hi = 1.0 if k == n else float(stats.beta.ppf(0.995, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, 0.005))
+    hi = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 0.995))
     return CIEstimate(p_hat=k / n, lo=lo, hi=hi, trials=n, seed=int(seed))
 
 
@@ -126,8 +127,7 @@ def _escape_count(lat, points):
     return decode_batch(lat, points).any(axis=1)
 
 
-def voronoi_escape(lat: Lattice, sigma, trials, rng: RngStream,
-                   chunk=1 << 17) -> CIEstimate:
+def voronoi_escape(lat: Lattice, sigma, trials, rng: RngStream) -> CIEstimate:
     """Pr[sigma * Z escapes the Voronoi cell], Z standard normal."""
     if trials < 100:
         raise InvalidParams("need at least 100 trials")
@@ -135,7 +135,7 @@ def voronoi_escape(lat: Lattice, sigma, trials, rng: RngStream,
     done = 0
     i = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(ESCAPE_CHUNK, trials - done)
         z = sample_normal(sigma, lat.n, rng.child(i), trials=m)
         k += int(_escape_count(lat, z).sum())
         done += m
@@ -146,20 +146,22 @@ def voronoi_escape(lat: Lattice, sigma, trials, rng: RngStream,
 def zn_err_inv(n, eps, scale=1.0):
     """Closed-form inverse error function for scale * Z^n."""
     p = (1.0 - (1.0 - eps) ** (1.0 / n)) / 2.0
-    return 2.0 * float(stats.norm.isf(p)) / scale
+    return -2.0 * float(special.ndtri(p)) / scale
 
 
 def _facet_candidates(lat):
-    """Nonzero lattice vectors covering all Voronoi facet normals.
+    """+- a shortest vector of each nonzero coset of Lambda / 2 Lambda.
 
-    Every facet vector v satisfies ||v|| <= 2 * covering radius, so the
-    ball of twice the covering bound is a safe superset; extra vectors are
-    harmless because their half-space constraints are implied.
+    By Voronoi's criterion every facet vector v is, up to sign, the unique
+    shortest vector of v + 2 Lambda, so these 2 (2^n - 1) vectors include
+    all facet normals; the others are lattice vectors, whose half-space
+    constraints are implied. The shortest vector of c + 2 Lambda is c less
+    its closest point in 2 Lambda.
     """
-    coords, pts = enumerate_coset(lat, np.zeros(lat.n),
-                                  2.0 * lat.covering_bound * (1 + 1e-9))
-    keep = (pts**2).sum(axis=1) > 1e-18
-    return pts[keep]
+    bits = (np.arange(1, 1 << lat.n)[:, None] >> np.arange(lat.n)) & 1
+    double = scale_lattice(lat, 2.0)
+    short = lat.embed(bits - 2 * decode_batch(double, lat.embed(bits)))
+    return np.concatenate([short, -short])
 
 
 def _critical_scales(lat: Lattice, z):
@@ -410,7 +412,7 @@ def run_trials(config: CodecConfig, t, rng: RngStream,
 
 
 def transmission_experiment(config: CodecConfig, trials, rng: RngStream,
-                            compare_escape=False, keep_err=False) -> dict:
+                            keep_err=False) -> dict:
     """Draw per-trial dithers by config mode, then run the trial engine.
 
     Also reports a rate proxy: the exact per-dither entropy rate averaged
@@ -419,7 +421,7 @@ def transmission_experiment(config: CodecConfig, trials, rng: RngStream,
     """
     n = config.lattice.n
     t = draw_dithers(config, rng.child(100), trials)
-    out = run_trials(config, t, rng, compare_escape=compare_escape)
+    out = run_trials(config, t, rng)
     k = 1 if config.dither == "none" else min(8, trials)
     rates = [
         discrete_gaussian(config.scaled, t[i], config.params.sigma_s).entropy / n
@@ -438,19 +440,12 @@ def markov_error_suite(lat: Lattice, eps, snr, gammas=(2.0, 6.0), dithers=500,
 
     The average error over the dither measure is at most eps by the scale
     normalization, so the fraction of dithers with rate >= gamma*eps must
-    stay under 1/gamma plus sampling slack.
+    stay under 1/gamma plus sampling slack. The per-dither rates are the
+    theorem1_suite audits' error rates, on its dithers and streams.
     """
-    if rng is None:
-        rng = RngStream(DEFAULT_SEED)
-    params = channel_params(1.0, 1.0 / snr)
-    if err_inv is None:
-        err_inv = inverse_error_function(lat, eps, tol=tol, rng=rng.child(0))
-    config = codec_config(lat, err_inv * params.sigma_eff, params, dither="cont")
-    t = sample_normal(params.sigma_s, lat.n, rng.child(1), trials=dithers)
-    big = np.repeat(t, trials, axis=0)
-    res = run_trials(config, big, rng.child(2))
-    rates = res["err"].reshape(dithers, trials).mean(axis=1)
-    report = {"err_inv": err_inv, "gammas": {}, "pass": True,
+    suite = theorem1_suite(lat, eps, snr, dithers, trials, rng, err_inv, tol)
+    rates = np.array([a.err_rate.p_hat for a in suite["audits"]])
+    report = {"err_inv": suite["err_inv"], "gammas": {}, "pass": True,
               "mean_rate": float(rates.mean())}
     for g in gammas:
         frac = float((rates >= g * eps).mean())
@@ -478,6 +473,8 @@ def sampling_lemma_suite(lat: Lattice, sigma_s, trials, rng: RngStream = None,
         rng = RngStream(DEFAULT_SEED)
     if trials < 10_000:
         raise InvalidParams("need at least 10^4 trials")
+    from scipy import stats
+
     n = lat.n
     if skip_dither:
         t = np.zeros((trials, n))
@@ -513,6 +510,8 @@ def discrete_sampling_suite(coarse: Lattice, fine: Lattice, sigma, trials,
     """
     if rng is None:
         rng = RngStream(DEFAULT_SEED)
+    from scipy import stats
+
     tp = sample_dither_discrete(coarse, fine, sigma, rng.child(0), trials=trials)
     x, _ = batch_coset_sample(coarse, tp, sigma, rng.child(1))
     spec = discrete_gaussian(fine, np.zeros(fine.n), sigma)

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NotNested
-from .lattices import (
-    DEFAULT_ENUM_BUDGET,
-    Lattice,
-    closest_point,
-    decode_batch,
-    reduce_batch,
-)
+from .lattices import Lattice, closest_point, decode_batch, reduce_batch
 from .measures import coordinate_line, enumerate_masses, padded_coset_support
 from .rng import RngStream
 
@@ -74,11 +68,10 @@ class DiscreteGaussianSpec:
         return self.log_raw_sum + self.power / (2 * self.sigma**2)
 
 
-def discrete_gaussian(lat: Lattice, shift, sigma, tail=DEFAULT_TAIL,
-                      budget=DEFAULT_ENUM_BUDGET) -> DiscreteGaussianSpec:
+def discrete_gaussian(lat: Lattice, shift, sigma, tail=DEFAULT_TAIL) -> DiscreteGaussianSpec:
     """Build the truncated renormalized D_{Lambda+shift,sigma}."""
     shift = np.asarray(shift, dtype=float)
-    data = enumerate_masses(lat, shift, sigma, tail, budget)
+    data = enumerate_masses(lat, shift, sigma, tail)
     probs = data.weights / math.fsum(data.weights.tolist())
     order = np.argsort(-probs, kind="stable")
     probs = probs[order]
@@ -146,7 +139,7 @@ def sample_dither_discrete(coarse: Lattice, fine: Lattice, sigma_s,
 
 
 def batch_coset_sample(lat: Lattice, shifts, sigma, rng: RngStream,
-                       rel_tol=1e-9, budget=DEFAULT_ENUM_BUDGET, chunk=256):
+                       rel_tol=1e-9, chunk=256):
     """One draw X_i ~ D_{Lambda+shifts_i, sigma} per row of shifts.
 
     Returns (points, coords) with points = shifts + embed(coords) exactly.
@@ -162,14 +155,14 @@ def batch_coset_sample(lat: Lattice, shifts, sigma, rng: RngStream,
     line = coordinate_line(lat)
     if line is not None:
         _, coords = batch_coset_sample(line, shifts.reshape(-1, 1), sigma, rng,
-                                       rel_tol / lat.n, budget, chunk * lat.n)
+                                       rel_tol / lat.n, chunk * lat.n)
         coords = coords.reshape(m, lat.n)
         return shifts + lat.embed(coords), coords
 
     u = rng.generator().random(m)
     anchors = decode_batch(lat, shifts)
     red = shifts - lat.embed(anchors)
-    scoords, chunks = padded_coset_support(lat, red, sigma, rel_tol, budget, chunk)
+    scoords, chunks = padded_coset_support(lat, red, sigma, rel_tol, chunk)
     coords = np.empty((m, lat.n), dtype=np.int64)
     for a, b, d2 in chunks:
         e = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / (2 * sigma**2))

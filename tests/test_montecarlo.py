@@ -6,7 +6,14 @@ from scipy import stats
 
 from latgauss.codec import channel_params, codec_config
 from latgauss.errors import InvalidParams, ResolutionExceeded
-from latgauss.lattices import decode_batch, reduce_batch, scale_lattice, standard_lattice
+from latgauss.lattices import (
+    decode_batch,
+    enumerate_coset,
+    random_mod_p_lattice,
+    reduce_batch,
+    scale_lattice,
+    standard_lattice,
+)
 from latgauss.measures import batch_coset_stats, entropy_exact, gaussian_mass
 from latgauss.montecarlo import (
     ConverseReport,
@@ -36,6 +43,8 @@ from latgauss.sampling import sample_normal
 
 Z = standard_lattice("Z")
 Z4 = standard_lattice("Z4")
+CONA = random_mod_p_lattice(8, 4, 5, RngStream(20240901, 0))
+CONA_UNIT = scale_lattice(CONA, CONA.volume ** -0.125)
 
 
 def test_proportion_ci_is_clopper_pearson_99():
@@ -44,6 +53,15 @@ def test_proportion_ci_is_clopper_pearson_99():
     assert ci.lo == pytest.approx(float(stats.beta.ppf(0.005, 37, 164)), rel=1e-12)
     assert ci.hi == pytest.approx(float(stats.beta.ppf(0.995, 38, 163)), rel=1e-12)
     assert ci.trials == 200 and ci.seed == 5
+    for n in (1, 2, 7, 50, 400, 2000, 100_000):
+        for k in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+            ci = proportion_ci(k, n)
+            if k > 0:
+                assert ci.lo == pytest.approx(float(stats.beta.ppf(0.005, k, n - k + 1)),
+                                              rel=1e-12)
+            if k < n:
+                assert ci.hi == pytest.approx(float(stats.beta.ppf(0.995, k + 1, n - k)),
+                                              rel=1e-12)
     assert proportion_ci(0, 50).lo == 0.0
     assert proportion_ci(50, 50).hi == 1.0
     with pytest.raises(InvalidParams):
@@ -73,6 +91,11 @@ def test_zn_err_inv_closed_form():
     assert zn_err_inv(1, 0.05, scale=2.0) == pytest.approx(3.919927969080108 / 2)
     p = (1 - 0.95 ** (1 / 4)) / 2
     assert zn_err_inv(4, 0.05) == pytest.approx(2 * float(stats.norm.isf(p)), rel=1e-14)
+    for n in (1, 2, 8, 16, 64):
+        for eps in (1e-6, 1e-3, 0.01, 0.05, 0.2, 0.5):
+            p = (1 - (1 - eps) ** (1 / n)) / 2
+            assert zn_err_inv(n, eps, 0.5) == pytest.approx(4 * float(stats.norm.isf(p)),
+                                                           rel=1e-14)
 
 
 def test_voronoi_escape_matches_closed_form():
@@ -96,8 +119,9 @@ def test_voronoi_escape_matches_closed_form():
         standard_lattice("E8"),
         standard_lattice("A2"),
         scale_lattice(standard_lattice("D4"), 0.5),
+        CONA_UNIT,
     ],
-    ids=["Z3", "D4", "D8", "E8", "A2", "halfD4"],
+    ids=["Z3", "D4", "D8", "E8", "A2", "halfD4", "conA-8-4-5"],
 )
 def test_critical_scales_reproduce_escape_indicator(lat):
     # s(z) is the dilation at which z crosses the Voronoi boundary, so the
@@ -108,6 +132,21 @@ def test_critical_scales_reproduce_escape_indicator(lat):
         sc = scale_lattice(lat, c)
         esc = decode_batch(sc, z).any(axis=1)
         np.testing.assert_array_equal(esc, s > c)
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [standard_lattice("A2"), standard_lattice("D8"), CONA_UNIT],
+    ids=["A2", "D8", "conA-8-4-5"],
+)
+def test_critical_scales_match_the_ball_reference(lat):
+    # reference: every nonzero lattice vector in the ball of twice the
+    # covering bound, a superset of the facet vectors
+    _, pts = enumerate_coset(lat, np.zeros(lat.n), 2.0 * lat.covering_bound * (1 + 1e-9))
+    cand = pts[(pts**2).sum(axis=1) > 1e-18]
+    z = RngStream(47).generator().standard_normal((500, lat.n))
+    want = (2.0 * (z @ cand.T) / (cand**2).sum(axis=1)).max(axis=1)
+    np.testing.assert_allclose(_critical_scales(lat, z), want, rtol=1e-12, atol=0)
 
 
 def test_inverse_error_function_agrees_with_closed_form():
@@ -235,6 +274,22 @@ def test_markov_bound_on_dither_error_rates():
     # the scale normalization targets eps, so the dither-averaged rate
     # should land in that neighborhood
     assert got["mean_rate"] <= 3 * 0.05
+
+
+def test_markov_rates_are_the_theorem1_audits():
+    # Markov's inequality is applied to the very per-dither rates that
+    # theorem1 audits: same dithers, same streams
+    e8 = standard_lattice("E8")
+    got = markov_error_suite(e8, 0.05, 1.0, dithers=20, trials=400,
+                             rng=RngStream(62), err_inv=4.762)
+    audits = theorem1_suite(e8, 0.05, 1.0, dithers=20, trials=400,
+                            rng=RngStream(62), err_inv=4.762)["audits"]
+    rates = np.array([a.err_rate.p_hat for a in audits])
+    assert got["err_inv"] == 4.762
+    assert got["mean_rate"] == float(rates.mean())
+    assert set(got["gammas"]) == {2.0, 6.0}
+    for g, rep in got["gammas"].items():
+        assert rep["fraction"] == float((rates >= g * 0.05).mean())
 
 
 def test_converse_experiment_low_snr():
