@@ -39,8 +39,8 @@ for target in (-0.5, 0.5):
 # Mass of the zero point on the unshifted lattice, two independent routes:
 # direct enumeration, and the pdf at zero over the total lattice mass.
 p0 = measures.mass_zero(z1, SIGMA)
-theta = measures.gaussian_mass(z1, np.zeros(1), SIGMA)
-ratio = measures.gaussian_pdf(SIGMA, np.zeros(1)) / theta.value
+mass = measures.enumerate_masses(z1, np.zeros(1), SIGMA).mass
+ratio = measures.gaussian_pdf(SIGMA, np.zeros(1)) / mass
 print(f"\nP0(Z, sigma=1)  = {p0:.12f}")
 print(f"f(0) / f(Z)     = {float(ratio):.12f}")
 

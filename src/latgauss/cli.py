@@ -37,8 +37,8 @@ from .errors import LatgaussError, UsageError
 from .lattices import from_json, nld, scale_lattice, standard_lattice, to_json
 from .measures import (
     entropy_exact,
+    enumerate_masses,
     flatness_factor,
-    gaussian_mass,
     mass_zero,
     smoothing_parameter,
 )
@@ -175,15 +175,16 @@ def parse_dither(spec):
 def parse_peak(spec, params):
     if spec == "off":
         return "off", {}
-    if spec == "zeroize" or spec.startswith("zeroize:"):
-        if ":" in spec:
-            budget = float(spec.split(":", 1)[1])
-        else:
-            budget = 4.0 * params.sigma_s2  # cap rarely hit by a Gaussian
-        return "zeroize", {"peak_budget": budget}
-    if spec.startswith("modb:"):
-        return "modb", {"mod_b": float(spec.split(":", 1)[1])}
-    raise UsageError("peak must be off, zeroize[:P], or modb:<B>")
+    if spec == "zeroize":  # a budget a Gaussian rarely hits
+        return "zeroize", {"peak_budget": 4.0 * params.sigma_s2}
+    mode, _, value = spec.partition(":")
+    key = {"zeroize": "peak_budget", "modb": "mod_b"}.get(mode)
+    if key is None:
+        raise UsageError("peak must be off, zeroize[:P], or modb:<B>")
+    try:
+        return mode, {key: float(value)}
+    except ValueError:
+        raise UsageError(f"--peak {spec!r}: {value!r} is not a number") from None
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +209,7 @@ def cmd_measure(ns):
     shift = np.zeros(lat.n) if ns.shift is None else np.asarray(ns.shift)
     if shift.shape != (lat.n,):
         raise UsageError(f"--shift needs {lat.n} comma-separated values")
-    theta = gaussian_mass(lat, shift, ns.sigma)
+    law = enumerate_masses(lat, shift, ns.sigma)
     fb = flatness_factor(lat, ns.sigma, samples=ns.flatness_samples,
                          seed=ns.seed)
     sm = smoothing_parameter(lat, ns.eps)
@@ -216,8 +217,8 @@ def cmd_measure(ns):
         "lattice": ns.lattice,
         "sigma": ns.sigma,
         "shift": shift,
-        "f_mass": theta.value,
-        "tail_bound": theta.tail_bound,
+        "f_mass": law.mass,
+        "tail_bound": law.tail,
         "P0": mass_zero(lat, ns.sigma),
         "entropy": entropy_exact(lat, shift, ns.sigma),
         "flatness_lower": fb.lower,

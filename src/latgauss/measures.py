@@ -1,12 +1,15 @@
 """Gaussian measures restricted to lattice cosets.
 
-The workhorse is a certified truncated theta sum: the Gaussian mass of a
-coset is computed by enumerating every coset point inside a ball whose
-radius is chosen from the exponential norm tail
+The workhorse is one certified coset law. enumerate_masses returns
+D_{Lambda+t,sigma} as a DiscreteGaussianSpec: every coset point inside a
+ball whose radius is chosen from the exponential norm tail
 
     Pr[ ||X||^2 / (2 n sigma^2) >= t ] <= exp(-n t + (n/2) log(2 t e)),  t >= 1,
 
 so the neglected tail is provably below the requested relative tolerance.
+The points come sorted by decreasing probability; the law's mass, second
+moment and entropy are properties of the spec, and sampling draws from the
+same object.
 For shifted cosets the bound controls the tail relative to the centered sum;
 the radius is enlarged by the certified ratio between the two masses, with a
 conservative factor-two slack throughout. Sums are accumulated with exact
@@ -36,6 +39,7 @@ import numpy as np
 from .errors import BracketFailure, InternalMismatch, InvalidParams
 from .lattices import (
     Lattice,
+    closest_point,
     dual,
     enumerate_coset,
     mod_lattice,
@@ -46,30 +50,42 @@ from .lattices import (
 
 
 @dataclass(frozen=True)
-class ThetaSum:
-    """Certified truncated coset mass: sum of f_sigma over Lambda + shift."""
+class DiscreteGaussianSpec:
+    """Truncated discrete Gaussian D_{Lambda+shift,sigma}, ready to sample.
 
-    value: float
-    truncation_radius: float
-    tail_bound: float  # certified relative error of the truncation
-    points: int
-
-
-@dataclass(frozen=True)
-class CosetEnumeration:
-    """Enumerated coset support with unnormalized Gaussian weights.
-
-    weights[i] = exp(-(||x_i||^2 - shift_norm) / (2 sigma^2)) where
-    shift_norm is the smallest squared norm over the support, so the largest
-    weight is 1. log_raw_sum recovers log sum_i exp(-||x_i||^2 / 2 sigma^2).
+    Support is sorted by decreasing mass; cum is the inclusive cumulative
+    probability, so inverse CDF is a single searchsorted. The enumerated
+    support carries at least (1 - tail) of the full coset mass, and
+    log_raw_sum is log sum exp(-||x||^2 / 2 sigma^2) over it, from which
+    the coset's mass, power and entropy follow.
     """
 
-    coords: np.ndarray
-    points: np.ndarray
-    weights: np.ndarray
+    lattice: Lattice
+    shift: np.ndarray
+    sigma: float
+    radius: float
+    tail: float
+    coords: np.ndarray  # (m, n) int64, X = shift + embed(coords)
+    points: np.ndarray  # (m, n) float, the coset points themselves
+    probs: np.ndarray
+    cum: np.ndarray
     log_raw_sum: float
-    truncation_radius: float
-    tail_bound: float
+
+    @property
+    def mass(self) -> float:
+        """f_sigma(Lambda + shift), certified to the support's tail."""
+        log_norm = (self.lattice.n / 2) * math.log(2 * math.pi * self.sigma**2)
+        return math.exp(self.log_raw_sum - log_norm)
+
+    @property
+    def power(self) -> float:
+        """Exact conditional second moment E[||X||^2]."""
+        return float((self.probs * (self.points**2).sum(axis=1)).sum())
+
+    @property
+    def entropy(self) -> float:
+        """Entropy in nats: log raw mass plus half the relative second moment."""
+        return self.log_raw_sum + self.power / (2 * self.sigma**2)
 
 
 @dataclass(frozen=True)
@@ -150,13 +166,19 @@ def _certified_radius(lat, rnorm2, sigma, rel_tol):
     return sigma * math.sqrt(2 * lat.n * t), tail
 
 
-def enumerate_masses(lat: Lattice, shift, sigma, rel_tol=1e-9) -> CosetEnumeration:
-    """Enumerate the coset support carrying all but rel_tol of its mass."""
+def enumerate_masses(lat: Lattice, shift, sigma, rel_tol=1e-9) -> DiscreteGaussianSpec:
+    """D_{Lambda+shift,sigma} on a support carrying all but rel_tol of its mass.
+
+    The shift is decoded once: the certified ball is enumerated around its
+    Voronoi residue, and the coordinates are re-anchored to the caller's
+    shift so that X = shift + embed(coords) exactly.
+    """
     _check_sigma(sigma)
     if not (0 < rel_tol < 1):
         raise InvalidParams("rel_tol must be in (0, 1)")
     shift = np.asarray(shift, dtype=float)
-    r = mod_lattice(lat, shift)
+    anchor = closest_point(lat, shift).coords
+    r = shift - lat.embed(anchor)
     radius, tail = _certified_radius(lat, float(r @ r), sigma, rel_tol)
     coords, points = enumerate_coset(lat, r, radius)
     if points.shape[0] == 0:
@@ -165,26 +187,16 @@ def enumerate_masses(lat: Lattice, shift, sigma, rel_tol=1e-9) -> CosetEnumerati
     emin = float(norm2.min())
     weights = np.exp(-(norm2 - emin) / (2 * sigma**2))
     wsum = math.fsum(weights.tolist())
-    log_raw = -emin / (2 * sigma**2) + math.log(wsum)
-    return CosetEnumeration(
-        coords=coords,
-        points=points,
-        weights=weights,
-        log_raw_sum=log_raw,
-        truncation_radius=radius,
-        tail_bound=tail,
-    )
-
-
-def gaussian_mass(lat: Lattice, shift, sigma, rel_tol=1e-9) -> ThetaSum:
-    """f_sigma(Lambda + shift) = sum over the coset of the Gaussian density."""
-    data = enumerate_masses(lat, shift, sigma, rel_tol)
-    logv = data.log_raw_sum - (lat.n / 2) * math.log(2 * math.pi * sigma**2)
-    return ThetaSum(
-        value=math.exp(logv),
-        truncation_radius=data.truncation_radius,
-        tail_bound=data.tail_bound,
-        points=data.points.shape[0],
+    probs = weights / wsum
+    order = np.argsort(-probs, kind="stable")
+    probs = probs[order]
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0  # guard the top against accumulated rounding
+    coords = coords[order] - anchor
+    return DiscreteGaussianSpec(
+        lattice=lat, shift=shift, sigma=float(sigma), radius=radius, tail=tail,
+        coords=coords, points=shift + lat.embed(coords), probs=probs, cum=cum,
+        log_raw_sum=-emin / (2 * sigma**2) + math.log(wsum),
     )
 
 
@@ -193,43 +205,35 @@ def mass_zero(lat: Lattice, sigma, rel_tol=1e-9) -> float:
 
     P_0 = ((sqrt(2 pi) sigma)^n f_sigma(Lambda))^{-1} = 1 / raw theta sum.
     """
-    data = enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol)
-    return math.exp(-data.log_raw_sum)
+    return math.exp(-enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol).log_raw_sum)
 
 
 def entropy_exact(lat: Lattice, shift, sigma, tol=1e-9) -> float:
     """Entropy (nats) of the discrete Gaussian on Lambda + shift.
 
-    Computed two ways: log raw-mass plus half the relative second moment,
-    and a direct -sum p log p over a strictly larger support. Disagreement
-    beyond tol raises InternalMismatch (it means truncation was too coarse).
+    Computed two ways: the law's mass/second-moment identity, and a direct
+    -sum p log p over a strictly larger support. Disagreement beyond tol
+    raises InternalMismatch (it means truncation was too coarse).
     """
-    rel = min(tol, 1e-9) * 1e-2
-    a = enumerate_masses(lat, shift, sigma, rel)
-    p = a.weights / a.weights.sum()
-    second = float((p * (a.points**2).sum(axis=1)).sum())
-    h_ident = a.log_raw_sum + second / (2 * sigma**2)
-
-    b_coords, b_points = enumerate_coset(
-        lat, mod_lattice(lat, np.asarray(shift, dtype=float)),
-        a.truncation_radius + 2 * sigma,
-    )
+    law = enumerate_masses(lat, shift, sigma, min(tol, 1e-9) * 1e-2)
+    _, b_points = enumerate_coset(lat, mod_lattice(lat, law.shift),
+                                  law.radius + 2 * sigma)
     n2 = (b_points**2).sum(axis=1)
     w = np.exp(-(n2 - n2.min()) / (2 * sigma**2))
     q = w / w.sum()
     q = q[q > 0]
     h_direct = float(-(q * np.log(q)).sum())
-    if abs(h_ident - h_direct) > tol:
+    if abs(law.entropy - h_direct) > tol:
         raise InternalMismatch(
-            f"entropy routes disagree: {h_ident} vs {h_direct}"
+            f"entropy routes disagree: {law.entropy} vs {h_direct}"
         )
-    return h_ident
+    return law.entropy
 
 
 def smoothing_parameter(lat: Lattice, eps) -> SmoothingResult:
     """Unique s > 0 with g(s) = sum_{x in Lambda\\0} exp(-||s x||^2 / 2) = eps.
 
-    Every evaluation of g re-enumerates its own certified support, so the
+    Every evaluation of g enumerates its own certified centered ball, so the
     residual reported at the root is trustworthy to the truncation level.
     """
     if not (0 < eps < 1):
@@ -238,8 +242,9 @@ def smoothing_parameter(lat: Lattice, eps) -> SmoothingResult:
     rel = max(1e-14, 1e-10 * eps)
 
     def g(s):
-        data = enumerate_masses(lat, np.zeros(lat.n), 1.0 / s, rel)
-        n2 = (data.points**2).sum(axis=1)
+        radius = _certified_radius(lat, 0.0, 1.0 / s, rel)[0]
+        _, pts = enumerate_coset(lat, np.zeros(lat.n), radius)
+        n2 = (pts**2).sum(axis=1)
         n2 = n2[n2 > 1e-18 * lam1**2]
         return float(math.fsum(np.exp(-s * s * n2 / 2).tolist()))
 
@@ -295,10 +300,10 @@ def flatness_factor(lat: Lattice, sigma, samples=512, seed=0) -> FlatnessBracket
         raise InvalidParams("need at least one sample")
     dl = dual(lat)
     sig_d = 1.0 / (2 * math.pi * sigma)
-    ddata = enumerate_masses(dl, np.zeros(lat.n), sig_d, 1e-12)
-    dn2 = (ddata.points**2).sum(axis=1)
+    dlaw = enumerate_masses(dl, np.zeros(lat.n), sig_d, 1e-12)
+    dn2 = (dlaw.points**2).sum(axis=1)
     upper = float(math.fsum(np.exp(-2 * np.pi**2 * sigma**2 * dn2[dn2 > 1e-18]).tolist()))
-    upper += ddata.tail_bound * (1.0 + upper)  # keep it a true upper bound
+    upper += dlaw.tail * (1.0 + upper)  # keep it a true upper bound
 
     from scipy.stats import qmc
 
@@ -393,8 +398,8 @@ def effective_noise_pdf(lat: Lattice, params, w, rel_tol=1e-9) -> float:
     w = np.asarray(w, dtype=float)
     sig_eff = math.sqrt(params.sigma_eff2)
     sig_s = math.sqrt(params.sigma_s2)
-    num = gaussian_mass(lat, w, math.sqrt(params.alpha) * sig_s, rel_tol).value
-    den = gaussian_mass(lat, np.zeros(lat.n), sig_s, rel_tol).value
+    num = enumerate_masses(lat, w, math.sqrt(params.alpha) * sig_s, rel_tol).mass
+    den = enumerate_masses(lat, np.zeros(lat.n), sig_s, rel_tol).mass
     return float(gaussian_pdf(sig_eff, w) * num / den)
 
 
@@ -435,7 +440,7 @@ def random_lattice_mean_check(n, volume, trials, sigma, rng, p=127, k=None) -> d
         else:
             lat = random_mod_p_lattice(n, k, p, rng.child(i))
         c = (volume / lat.volume) ** (1.0 / n)
-        vals[i] = gaussian_mass(scale_lattice(lat, c), np.zeros(n), sigma).value
+        vals[i] = enumerate_masses(scale_lattice(lat, c), np.zeros(n), sigma).mass
     predicted = (2 * math.pi * sigma**2) ** (-n / 2) + 1.0 / volume
     return {
         "empirical": float(vals.mean()),

@@ -302,6 +302,8 @@ def theorem1_suite(lat: Lattice, eps, snr, dithers=100, trials=2000,
     the dither measure; the suite compares against 0.5 minus three binomial
     standard errors.
     """
+    if dithers < 1:
+        raise InvalidParams(f"dithers must be at least 1, got {dithers}")
     if rng is None:
         rng = RngStream(DEFAULT_SEED)
     params = channel_params(1.0, 1.0 / snr)
@@ -311,7 +313,7 @@ def theorem1_suite(lat: Lattice, eps, snr, dithers=100, trials=2000,
     config = codec_config(lat, scale, params, dither="cont")
     audits = []
     for i in range(dithers):
-        t = sample_normal(params.sigma_s, lat.n, rng.child(1000 + i))
+        t = sample_normal(params.sigma_s, lat.n, rng.child(1000 + i), trials=1)[0]
         audits.append(dither_audit(config, t, eps, trials, rng.child(2000 + i)))
     frac = sum(a.all_pass for a in audits) / dithers
     threshold = 0.5 - 3 * math.sqrt(0.25 / dithers)
@@ -443,6 +445,9 @@ def markov_error_suite(lat: Lattice, eps, snr, gammas=(2.0, 6.0), dithers=500,
     stay under 1/gamma plus sampling slack. The per-dither rates are the
     theorem1_suite audits' error rates, on its dithers and streams.
     """
+    bad = [g for g in gammas if not g >= 1]
+    if bad:
+        raise InvalidParams(f"gammas must be at least 1, got {bad}")
     suite = theorem1_suite(lat, eps, snr, dithers, trials, rng, err_inv, tol)
     rates = np.array([a.err_rate.p_hat for a in suite["audits"]])
     report = {"err_inv": suite["err_inv"], "gammas": {}, "pass": True,

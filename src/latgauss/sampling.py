@@ -1,9 +1,11 @@
 """Seeded random generation for the shaping pipeline.
 
 Three sources: continuous Gaussian vectors, exact discrete Gaussian draws
-over lattice cosets (inverse CDF on a certified truncated support), and the
-two dither flavors (a plain Gaussian shift, and a discrete Gaussian on a
-finer lattice reduced to the coarse Voronoi cell).
+over lattice cosets, and the two dither flavors (a plain Gaussian shift,
+and a discrete Gaussian on a finer lattice reduced to the coarse Voronoi
+cell). A single coset is drawn by inverse CDF from the certified law that
+measures.enumerate_masses returns; discrete_gaussian is that law at the
+sampling precision DEFAULT_TAIL. Every sampler returns (trials, n) rows.
 
 Every sampler is a pure function of (parameters, RngStream): calling twice
 with the same stream reproduces the same draws. Callers that need fresh
@@ -16,77 +18,24 @@ which makes the error indicator exact instead of float-coincidental.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParams, NotNested
-from .lattices import Lattice, closest_point, decode_batch, reduce_batch
-from .measures import coordinate_line, enumerate_masses, padded_coset_support
+from .lattices import Lattice, decode_batch, reduce_batch
+from .measures import (
+    DiscreteGaussianSpec,
+    coordinate_line,
+    enumerate_masses,
+    padded_coset_support,
+)
 from .rng import RngStream
 
 DEFAULT_TAIL = 1e-12
 
 
-@dataclass(frozen=True)
-class DiscreteGaussianSpec:
-    """Truncated discrete Gaussian D_{Lambda+shift,sigma}, ready to sample.
-
-    Support is sorted by decreasing mass; cum is the inclusive cumulative
-    probability, so inverse CDF is a single searchsorted. The enumerated
-    support carries at least (1 - tail) of the full coset mass, and
-    log_raw_sum is log sum exp(-||x||^2 / 2 sigma^2) over it, from which
-    the coset's mass, power and entropy follow.
-    """
-
-    lattice: Lattice
-    shift: np.ndarray
-    sigma: float
-    radius: float
-    tail: float
-    coords: np.ndarray  # (m, n) int64, X = shift + embed(coords)
-    points: np.ndarray  # (m, n) float, the coset points themselves
-    probs: np.ndarray
-    cum: np.ndarray
-    log_raw_sum: float
-
-    @property
-    def mass(self) -> float:
-        """f_sigma(Lambda + shift), certified to the support's tail."""
-        log_norm = (self.lattice.n / 2) * math.log(2 * math.pi * self.sigma**2)
-        return math.exp(self.log_raw_sum - log_norm)
-
-    @property
-    def power(self) -> float:
-        """Exact conditional second moment E[||X||^2]."""
-        return float((self.probs * (self.points**2).sum(axis=1)).sum())
-
-    @property
-    def entropy(self) -> float:
-        """Entropy in nats: log raw mass plus half the relative second moment."""
-        return self.log_raw_sum + self.power / (2 * self.sigma**2)
-
-
 def discrete_gaussian(lat: Lattice, shift, sigma, tail=DEFAULT_TAIL) -> DiscreteGaussianSpec:
-    """Build the truncated renormalized D_{Lambda+shift,sigma}."""
-    shift = np.asarray(shift, dtype=float)
-    data = enumerate_masses(lat, shift, sigma, tail)
-    probs = data.weights / math.fsum(data.weights.tolist())
-    order = np.argsort(-probs, kind="stable")
-    probs = probs[order]
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0  # guard the top against accumulated rounding
-    # points were enumerated around the reduced shift; re-anchor coordinates
-    # to the caller's shift so that X = shift + embed(coords) exactly
-    anchor = closest_point(lat, shift).coords
-    coords = data.coords[order] - anchor
-    return DiscreteGaussianSpec(
-        lattice=lat, shift=shift, sigma=float(sigma),
-        radius=data.truncation_radius, tail=data.tail_bound,
-        coords=coords, points=shift + lat.embed(coords),
-        probs=probs, cum=cum, log_raw_sum=data.log_raw_sum,
-    )
+    """D_{Lambda+shift,sigma} at the sampling precision: enumerate_masses at tail."""
+    return enumerate_masses(lat, shift, sigma, tail)
 
 
 def sample_indices(spec: DiscreteGaussianSpec, rng: RngStream, trials):
@@ -98,26 +47,19 @@ def sample_indices(spec: DiscreteGaussianSpec, rng: RngStream, trials):
     return np.minimum(idx, len(spec.cum) - 1)
 
 
-def sample_discrete_gaussian(spec: DiscreteGaussianSpec, rng: RngStream,
-                             trials=None):
-    """Exact categorical draw(s) from the truncated support.
-
-    trials=None returns one point of shape (n,); otherwise (trials, n).
-    """
-    m = 1 if trials is None else int(trials)
-    out = spec.points[sample_indices(spec, rng, m)]
-    return out[0] if trials is None else out
+def sample_discrete_gaussian(spec: DiscreteGaussianSpec, rng: RngStream, trials):
+    """`trials` exact categorical draws from the truncated support, (trials, n)."""
+    return spec.points[sample_indices(spec, rng, trials)]
 
 
-def sample_normal(sigma, n, rng: RngStream, trials=None):
-    """Mean-zero normal vector(s) with per-coordinate deviation sigma."""
+def sample_normal(sigma, n, rng: RngStream, trials):
+    """`trials` mean-zero normal rows of width n, deviation sigma, (trials, n)."""
     if not (sigma > 0 and np.isfinite(sigma)):
         raise InvalidParams("sigma must be positive and finite")
-    m = 1 if trials is None else int(trials)
+    m = int(trials)
     if m < 1 or n < 1:
         raise InvalidParams("need positive dimensions")
-    x = rng.generator().standard_normal((m, n)) * sigma
-    return x[0] if trials is None else x
+    return rng.generator().standard_normal((m, n)) * sigma
 
 
 def check_nested(coarse: Lattice, fine: Lattice, tol=1e-9):

@@ -105,6 +105,27 @@ def test_unknown_suite_is_usage_error(capsys):
     assert cli.run(["verify", "--suite", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["simulate", "--lattice", "A2", "--snr", "2", "--scale", "1",
+      "--peak", "zeroize:abc", "--trials", "100"], "abc"),
+    (["simulate", "--lattice", "A2", "--snr", "2", "--scale", "1",
+      "--peak", "modb:", "--trials", "100"], "modb:"),
+    (["verify", "--suite", "markov", "--gammas", "0", "--dithers", "2",
+      "--trials", "100"], "0.0"),
+    (["verify", "--suite", "markov", "--gammas", "-2", "--dithers", "2",
+      "--trials", "100"], "-2.0"),
+    (["verify", "--suite", "markov", "--gammas", "0.5", "--dithers", "2",
+      "--trials", "100"], "0.5"),
+    (["verify", "--suite", "theorem1", "--dithers", "0", "--trials", "100"], "0"),
+    (["verify", "--suite", "markov", "--dithers", "0", "--trials", "100"], "0"),
+])
+def test_bad_values_are_usage_errors(argv, value, capsys):
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error")
+    assert value in err
+
+
 def test_config_file_fills_flags_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dithers = 400\nseed = 13\n# comment line\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,15 @@ from scipy.optimize import brentq
 
 from latgauss.codec import channel_params
 from latgauss.errors import InvalidParams
-from latgauss.lattices import dual, new_lattice, reduce_batch, scale_lattice, standard_lattice
+from latgauss.lattices import (
+    dual,
+    enumerate_coset,
+    mod_lattice,
+    new_lattice,
+    reduce_batch,
+    scale_lattice,
+    standard_lattice,
+)
 from latgauss.measures import (
     batch_coset_stats,
     effective_noise_bounds,
@@ -15,13 +24,13 @@ from latgauss.measures import (
     entropy_exact,
     enumerate_masses,
     flatness_factor,
-    gaussian_mass,
     gaussian_pdf,
     mass_zero,
     random_lattice_mean_check,
     smoothing_parameter,
 )
 from latgauss.rng import RngStream
+from latgauss.sampling import discrete_gaussian
 
 Z = standard_lattice("Z")
 
@@ -59,35 +68,63 @@ def test_gaussian_pdf_rejects_bad_sigma():
 
 @pytest.mark.parametrize("sigma", [1.0, 1 / math.sqrt(2), 0.7, 1.3])
 def test_gaussian_mass_matches_brute_theta(sigma):
-    got = gaussian_mass(Z, [0.0], sigma)
+    got = enumerate_masses(Z, [0.0], sigma)
     want = brute_theta_z(1.0, sigma) / math.sqrt(2 * math.pi * sigma**2)
-    assert got.tail_bound <= 1e-9
-    assert abs(got.value - want) <= 2 * got.tail_bound * want
-    assert got.points >= 1
-    assert got.truncation_radius > 0
+    assert got.tail <= 1e-9
+    assert abs(got.mass - want) <= 2 * got.tail * want
+    assert got.points.shape[0] >= 1
+    assert got.radius > 0
 
 
 def test_gaussian_mass_half_integer_shift():
-    got = gaussian_mass(Z, [0.5], 1.0)
+    got = enumerate_masses(Z, [0.5], 1.0)
     want = brute_theta_z(1.0, 1.0, shift=0.5) / math.sqrt(2 * math.pi)
-    assert got.value == pytest.approx(want, rel=1e-9)
+    assert got.mass == pytest.approx(want, rel=1e-9)
 
 
 def test_gaussian_mass_known_value():
     # f_{1/sqrt(2)}(Z) = 1.0001034463724077 from the brute window
-    got = gaussian_mass(Z, [0.0], 1 / math.sqrt(2), rel_tol=1e-12)
-    assert got.value == pytest.approx(1.0001034463724077, rel=1e-11)
+    got = enumerate_masses(Z, [0.0], 1 / math.sqrt(2), rel_tol=1e-12)
+    assert got.mass == pytest.approx(1.0001034463724077, rel=1e-11)
 
 
 def test_enumerate_masses_consistency():
     data = enumerate_masses(Z, [0.3], 1.0, rel_tol=1e-10)
-    # largest weight is exactly one and log_raw_sum matches a direct fsum
-    assert data.weights.max() == 1.0
+    # log_raw_sum matches a direct fsum
     n2 = (data.points**2).sum(axis=1)
     direct = math.fsum(np.exp(-n2 / 2).tolist())
     assert math.exp(data.log_raw_sum) == pytest.approx(direct, rel=1e-12)
-    assert data.tail_bound <= 1e-10
+    assert data.tail <= 1e-10
     assert data.coords.shape[0] == data.points.shape[0]
+
+
+@pytest.mark.parametrize("name, shift", [
+    ("A2", [1e3 + 0.3, -0.2]),
+    ("D4", np.random.default_rng(17).normal(scale=3.0, size=4)),
+])
+def test_enumerate_masses_is_the_sampled_law(name, shift):
+    lat = standard_lattice(name)
+    sigma = 0.8
+    t = np.asarray(shift, dtype=float)
+    law = enumerate_masses(lat, t, sigma, rel_tol=1e-13)
+    # brute force over every coset point in a ball 3 sigma wider
+    _, pts = enumerate_coset(lat, mod_lattice(lat, t), law.radius + 3 * sigma)
+    n2 = (pts**2).sum(axis=1)
+    w = np.exp(-n2 / (2 * sigma**2))
+    raw = math.fsum(w.tolist())
+    p = w / raw
+    assert law.mass == pytest.approx(raw / (2 * math.pi * sigma**2) ** (lat.n / 2), rel=1e-10)
+    assert law.power == pytest.approx(math.fsum((p * n2).tolist()), rel=1e-10)
+    assert law.entropy == pytest.approx(-math.fsum((p * np.log(p)).tolist()), rel=1e-10)
+    # the law is anchored to the caller's shift and sorted for inversion
+    np.testing.assert_array_equal(law.points, t + lat.embed(law.coords))
+    assert np.all(np.diff(law.probs) <= 0)
+    assert law.cum[-1] == 1.0
+    # sampling draws from this very law
+    spec = discrete_gaussian(lat, t, sigma, 1e-9)
+    same = enumerate_masses(lat, t, sigma, 1e-9)
+    for field in dataclasses.fields(same):
+        np.testing.assert_array_equal(getattr(spec, field.name), getattr(same, field.name))
 
 
 def test_enumerate_masses_rejects_bad_args():
@@ -118,10 +155,10 @@ def test_poisson_summation_identity(name, sigma):
     # theta of the dual at sigma_d = 1 / (2 pi sigma)
     lat = standard_lattice(name)
     n = lat.n
-    lhs = gaussian_mass(lat, np.zeros(n), sigma, rel_tol=1e-12).value
-    rhs_raw = gaussian_mass(dual(lat), np.zeros(n), 1.0 / (2 * math.pi * sigma), rel_tol=1e-12)
+    lhs = enumerate_masses(lat, np.zeros(n), sigma, rel_tol=1e-12).mass
+    rhs_raw = enumerate_masses(dual(lat), np.zeros(n), 1.0 / (2 * math.pi * sigma), rel_tol=1e-12)
     sig_d = 1.0 / (2 * math.pi * sigma)
-    dual_theta = rhs_raw.value * (2 * math.pi * sig_d**2) ** (n / 2)
+    dual_theta = rhs_raw.mass * (2 * math.pi * sig_d**2) ** (n / 2)
     assert lhs == pytest.approx(dual_theta / lat.volume, rel=1e-10)
 
 
@@ -131,8 +168,8 @@ def test_poisson_summation_e8_self_dual():
     e8 = standard_lattice("E8")
     sig = 0.5
     sig_d = 1.0 / (2 * math.pi * sig)
-    lhs = gaussian_mass(e8, np.zeros(8), sig, rel_tol=1e-10).value
-    rhs_raw = gaussian_mass(e8, np.zeros(8), sig_d, rel_tol=1e-10).value
+    lhs = enumerate_masses(e8, np.zeros(8), sig, rel_tol=1e-10).mass
+    rhs_raw = enumerate_masses(e8, np.zeros(8), sig_d, rel_tol=1e-10).mass
     assert lhs == pytest.approx(rhs_raw * (2 * math.pi * sig_d**2) ** 4, rel=1e-10)
 
 
@@ -234,7 +271,7 @@ def test_batch_coset_stats_matches_scalar_mass():
     for lat, rows in [(z2, pts), (z3, pts3)]:
         got = batch_coset_stats(lat, rows, 0.9)
         for row, m in zip(rows, got["mass"]):
-            assert m == pytest.approx(gaussian_mass(lat, row, 0.9).value, rel=1e-10)
+            assert m == pytest.approx(enumerate_masses(lat, row, 0.9).mass, rel=1e-10)
 
 
 def test_batch_coset_stats_power_oracle():
@@ -296,7 +333,7 @@ def test_random_lattice_mean_tracks_prediction():
 
 def test_random_lattice_mean_one_dimension_is_deterministic():
     got = random_lattice_mean_check(1, 2.0, 3, 1.0, RngStream(5))
-    want = gaussian_mass(scale_lattice(Z, 2.0), [0.0], 1.0).value
+    want = enumerate_masses(scale_lattice(Z, 2.0), [0.0], 1.0).mass
     assert got["empirical"] == pytest.approx(want, rel=1e-12)
     assert got["stderr"] == 0.0
 

@@ -14,7 +14,7 @@ from latgauss.lattices import (
     scale_lattice,
     standard_lattice,
 )
-from latgauss.measures import batch_coset_stats, entropy_exact, gaussian_mass
+from latgauss.measures import batch_coset_stats, entropy_exact, enumerate_masses
 from latgauss.montecarlo import (
     ConverseReport,
     chernoff_power_check,
@@ -244,7 +244,7 @@ def test_dither_audit_profile_matches_measures():
         got = dither_audit(config, t, 0.05, 200, RngStream(58))
         power = batch_coset_stats(scaled, reduce_batch(scaled, t[None]), 1.0,
                                   rel_tol=1e-11)["power"][0]
-        mass = gaussian_mass(scaled, t, 1.0, 1e-12).value
+        mass = enumerate_masses(scaled, t, 1.0, 1e-12).mass
         assert got.mass == pytest.approx(mass, rel=1e-9)
         assert got.avg_power.p_hat * n * params.sigma_s2 == pytest.approx(power, rel=1e-9)
         assert got.rate * n == pytest.approx(entropy_exact(scaled, t, 1.0), rel=1e-9)
