@@ -1,9 +1,9 @@
 """Closed-form rate calculators and cross-checks against sampled quantities.
 
-Finite-blocklength normal approximations, the smoothing-parameter sandwich
-around the inverse error function, the dithering-rate bound, and the
-normalized-second-moment comparator. The blocklength formulas deliberately
-omit O(log n / n) correction terms; every report says so.
+Finite-blocklength normal approximations, the shaping theorem's rate gap,
+the smoothing-parameter sandwich around the inverse error function, and the
+dithering-rate bound. The blocklength formulas deliberately omit
+O(log n / n) correction terms; every report says so.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
 from scipy import special
 
 from .errors import InvalidParams, NonPositive
-from .lattices import Lattice, dual, reduce_batch
+from .lattices import Lattice, dual
 from .measures import smoothing_parameter
-from .montecarlo import CIEstimate, inverse_error_function, mean_ci, nvnr
+from .montecarlo import inverse_error_function
 from .rng import DEFAULT_SEED, RngStream
 
 EXCLUDED_TERMS = "O(log n / n) corrections omitted"
@@ -130,13 +129,6 @@ def dither_rate_bound(snr) -> dict:
     return {"bound": max(0.0, raw), "no_dither_needed": raw <= 0.0}
 
 
-def phi(alpha) -> float:
-    """Coefficient 1 - log(2 alpha e)/(2 alpha) in the entropy cap."""
-    if not alpha > 0.5:
-        raise InvalidParams("alpha must exceed 1/2")
-    return 1.0 - math.log(2.0 * alpha * math.e) / (2.0 * alpha)
-
-
 def cdlp_sandwich(lat: Lattice, eps, trials=400_000, tol=1e-3,
                   rng: RngStream = None) -> dict:
     """Smoothing-parameter sandwich around the inverse error function.
@@ -156,37 +148,3 @@ def cdlp_sandwich(lat: Lattice, eps, trials=400_000, tol=1e-3,
     slack = 3.0 * tol * mid
     ok = (lower - slack <= mid <= upper + slack)
     return {"lower": lower, "mid": mid, "upper": upper, "ok": ok}
-
-
-def zamir_conjecture_bound(lat: Lattice, eps, nsm_trials=100_000,
-                           rng: RngStream = None, err_trials=200_000,
-                           tol=1e-3) -> dict:
-    """Conjectured shaping gap (1/2) log(mu G) next to the proved one.
-
-    G is the normalized second moment of the Voronoi cell, estimated from
-    uniform cell samples (uniform parallelepiped points reduced to the
-    cell); the CI must be consistent with G >= 1/(2 pi e). mu comes from
-    the Monte Carlo inverse error function.
-    """
-    if nsm_trials < 10_000:
-        raise InvalidParams("need at least 10^4 samples for G")
-    if rng is None:
-        rng = RngStream(DEFAULT_SEED)
-    n = lat.n
-    u = rng.child(0).generator().random((nsm_trials, n))
-    cell = reduce_batch(lat, u @ lat.basis.T)
-    sq = (cell**2).sum(axis=1) / (n * lat.volume ** (2.0 / n))
-    g_ci = mean_ci(sq, seed=rng.seed)
-    if g_ci.hi * 2.0 * math.pi * math.e < 1.0:
-        raise InvalidParams(
-            f"second-moment estimate {g_ci} contradicts G >= 1/(2 pi e)"
-        )
-    rep = nvnr(lat, eps, trials=err_trials, tol=tol, rng=rng.child(1))
-    bound = 0.5 * math.log(rep["mu"] * g_ci.p_hat)
-    return {
-        "bound": bound,
-        "gap_from_theorem1": theorem1_gap(rep["gamma"], n),
-        "g": g_ci,
-        "mu": rep["mu"],
-        "gamma": rep["gamma"],
-    }

@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from dataclasses import fields, is_dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -289,14 +290,15 @@ def cmd_simulate(ns):
 
 
 def cmd_sweep(ns):
+    bad = [snr for snr in ns.snr_grid if not snr > 0]
+    if bad:
+        raise UsageError(f"--snr-grid entries must be positive, got {bad}")
     lat = parse_lattice(ns.lattice)
     root = RngStream(ns.seed)
     err_inv = inverse_error_function(lat, ns.eps, trials=ns.inv_trials,
                                      rng=root.child(1))
     lines = ["snr,scale,p_err,ci_lo,ci_hi,avg_power,rate_proxy"]
     for i, snr in enumerate(ns.snr_grid):
-        if not snr > 0:
-            raise UsageError("--snr-grid entries must be positive")
         config = _build_codec(ns, lat, channel_params(1.0, 1.0 / snr), err_inv)
         r = transmission_experiment(config, ns.trials, root.child(10 + i))
         ci = r["p_err"]
@@ -308,133 +310,104 @@ def cmd_sweep(ns):
     return 0
 
 
-# suite name -> (runner, one-line summary of defaults)
+class _Suite(NamedTuple):
+    defaults: dict  # flag -> default value; these are the flags it reads
+    note: str  # appended to the suite's line of the verify epilog
+    run: Callable  # (params, root RngStream) -> (details, ok)
 
 
-def _suite_sampling_lemma(ns, root):
-    lattice = _pick(ns.lattice, "Z4")
-    sigma_s = _pick(ns.sigma_s, 1.0)
-    trials = _pick(ns.trials, 100_000)
-    res = sampling_lemma_suite(parse_lattice(lattice), sigma_s, trials,
-                               rng=root)
-    params = {"lattice": lattice, "sigma_s": sigma_s, "trials": trials}
-    return params, res, res["pass"]
+def _verdict(res):
+    return res, res["pass"]
 
 
-def _suite_discrete_sampling(ns, root):
-    lattice = _pick(ns.lattice, "2*Z")
-    fine = _pick(ns.fine, "Z")
-    sigma = _pick(ns.sigma, 2.0)
-    trials = _pick(ns.trials, 100_000)
-    res = discrete_sampling_suite(parse_lattice(lattice), parse_lattice(fine),
-                                  sigma, trials, rng=root)
-    params = {"lattice": lattice, "fine": fine, "sigma": sigma,
-              "trials": trials}
-    return params, res, res["pass"]
-
-
-def _suite_negative_moment(ns, root):
-    lattice = _pick(ns.lattice, "Z")
-    sigma = _pick(ns.sigma, 1.0)
-    dithers = _pick(ns.dithers, 10_000)
-    lat = parse_lattice(lattice)
-    ci = negative_moment_check(lat, sigma, dithers, root)
+def _covers_volume(lat, ci):
     ok = ci.lo <= lat.volume <= ci.hi
-    params = {"lattice": lattice, "sigma": sigma, "dithers": dithers}
-    return params, {"ci": ci, "volume": lat.volume, "pass": ok}, ok
-
-
-def _suite_chernoff(ns, root):
-    lattice = _pick(ns.lattice, "Z4")
-    sigma_s = _pick(ns.sigma_s, 1.0)
-    eps = _pick(ns.eps, 0.9)
-    dithers = _pick(ns.dithers, 2000)
-    res = chernoff_power_check(parse_lattice(lattice), sigma_s, eps, dithers,
-                               root)
-    params = {"lattice": lattice, "sigma_s": sigma_s, "eps": eps,
-              "dithers": dithers}
-    return params, res, res["pass"]
-
-
-def _suite_tail_bounds(ns, root):
-    trials = _pick(ns.trials, 100_000)
-    res = tail_bounds_suite(trials=trials, rng=root)
-    return {"trials": trials}, res, res["pass"]
-
-
-def _suite_markov(ns, root):
-    lattice = _pick(ns.lattice, "Z4")
-    eps = _pick(ns.eps, 0.05)
-    snr = _pick(ns.snr, 1.0)
-    dithers = _pick(ns.dithers, 500)
-    trials = _pick(ns.trials, 2000)
-    gammas = tuple(_pick(ns.gammas, [2.0, 6.0]))
-    res = markov_error_suite(parse_lattice(lattice), eps, snr, gammas=gammas,
-                             dithers=dithers, trials=trials, rng=root)
-    params = {"lattice": lattice, "eps": eps, "snr": snr, "dithers": dithers,
-              "trials": trials, "gammas": list(gammas)}
-    return params, res, res["pass"]
-
-
-def _suite_converse(ns, root):
-    lattice = _pick(ns.lattice, "Z")
-    sigma_s = _pick(ns.sigma_s, 1.0)
-    sigma_w = _pick(ns.sigma_w, 2.0)
-    trials = _pick(ns.trials, 100_000)
-    rep = converse_experiment(parse_lattice(lattice), sigma_s, sigma_w,
-                              trials, root)
-    ok = rep.entropy_ok and rep.error_ok
-    params = {"lattice": lattice, "sigma_s": sigma_s, "sigma_w": sigma_w,
-              "trials": trials}
-    return params, rep, ok
-
-
-def _suite_theorem1(ns, root):
-    lattice = _pick(ns.lattice, "E8")
-    eps = _pick(ns.eps, 0.05)
-    snr = _pick(ns.snr, 1.0)
-    dithers = _pick(ns.dithers, 100)
-    trials = _pick(ns.trials, 2000)
-    res = theorem1_suite(parse_lattice(lattice), eps, snr, dithers=dithers,
-                         trials=trials, rng=root)
-    res = {k: v for k, v in res.items() if k != "audits"}
-    params = {"lattice": lattice, "eps": eps, "snr": snr, "dithers": dithers,
-              "trials": trials}
-    return params, res, res["pass"]
+    return {"ci": ci, "volume": lat.volume, "pass": ok}, ok
 
 
 _SUITES = {
-    "sampling-lemma": _suite_sampling_lemma,
-    "discrete-sampling-lemma": _suite_discrete_sampling,
-    "negative-moment": _suite_negative_moment,
-    "chernoff": _suite_chernoff,
-    "tail-bounds": _suite_tail_bounds,
-    "markov": _suite_markov,
-    "converse": _suite_converse,
-    "theorem1": _suite_theorem1,
+    "sampling-lemma": _Suite(
+        {"lattice": "Z4", "sigma_s": 1.0, "trials": 100_000}, "",
+        lambda p, root: _verdict(sampling_lemma_suite(
+            parse_lattice(p["lattice"]), p["sigma_s"], p["trials"], rng=root))),
+    "discrete-sampling-lemma": _Suite(
+        {"lattice": "2*Z", "fine": "Z", "sigma": 2.0, "trials": 100_000}, "",
+        lambda p, root: _verdict(discrete_sampling_suite(
+            parse_lattice(p["lattice"]), parse_lattice(p["fine"]), p["sigma"],
+            p["trials"], rng=root))),
+    "negative-moment": _Suite(
+        {"lattice": "Z", "sigma": 1.0, "dithers": 10_000}, "",
+        lambda p, root: _covers_volume(
+            lat := parse_lattice(p["lattice"]),
+            negative_moment_check(lat, p["sigma"], p["dithers"], root))),
+    "chernoff": _Suite(
+        {"lattice": "Z4", "sigma_s": 1.0, "eps": 0.9, "dithers": 2000}, "",
+        lambda p, root: _verdict(chernoff_power_check(
+            parse_lattice(p["lattice"]), p["sigma_s"], p["eps"], p["dithers"],
+            root))),
+    "tail-bounds": _Suite(
+        {"trials": 100_000}, "(lattices fixed: 4*E8 and Z16)",
+        lambda p, root: _verdict(tail_bounds_suite(trials=p["trials"], rng=root))),
+    "markov": _Suite(
+        {"lattice": "Z4", "eps": 0.05, "snr": 1.0, "dithers": 500,
+         "trials": 2000, "gammas": (2.0, 6.0)}, "",
+        lambda p, root: _verdict(markov_error_suite(
+            parse_lattice(p["lattice"]), p["eps"], p["snr"], gammas=p["gammas"],
+            dithers=p["dithers"], trials=p["trials"], rng=root))),
+    "converse": _Suite(
+        {"lattice": "Z", "sigma_s": 1.0, "sigma_w": 2.0, "trials": 100_000}, "",
+        lambda p, root: (
+            rep := converse_experiment(parse_lattice(p["lattice"]), p["sigma_s"],
+                                       p["sigma_w"], p["trials"], root),
+            rep.entropy_ok and rep.error_ok)),
+    "theorem1": _Suite(
+        {"lattice": "E8", "eps": 0.05, "snr": 1.0, "dithers": 100,
+         "trials": 2000}, "",
+        lambda p, root: _verdict({k: v for k, v in theorem1_suite(
+            parse_lattice(p["lattice"]), p["eps"], p["snr"], dithers=p["dithers"],
+            trials=p["trials"], rng=root).items() if k != "audits"})),
 }
 
-_SUITE_DEFAULTS = """\
-suite defaults (any flag overrides):
-  sampling-lemma           lattice Z4, sigma-s 1, trials 100000
-  discrete-sampling-lemma  lattice 2*Z, fine Z, sigma 2, trials 100000
-  negative-moment          lattice Z, sigma 1, dithers 10000
-  chernoff                 lattice Z4, sigma-s 1, eps 0.9, dithers 2000
-  tail-bounds              trials 100000 (lattices fixed: 4*E8 and Z16)
-  markov                   lattice Z4, eps 0.05, snr 1, dithers 500,
-                           trials 2000, gammas 2,6
-  converse                 lattice Z, sigma-s 1, sigma-w 2, trials 100000
-  theorem1                 lattice E8, eps 0.05, snr 1, dithers 100,
-                           trials 2000
-"""
+
+def _flag(key):
+    return key.replace("_", "-")
+
+
+def _default_text(value):
+    if isinstance(value, tuple):
+        return ",".join(_default_text(v) for v in value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def _suites_epilog():
+    """verify's epilog: each suite's defaults, no "key value" pair split."""
+    lines = ["suite defaults (any flag overrides):"]
+    for name, suite in _SUITES.items():
+        pairs = [f"{_flag(k)} {_default_text(v)}" for k, v in suite.defaults.items()]
+        rows = pairs[:1]
+        for pair in pairs[1:]:
+            if len(rows[-1]) + 2 + len(pair) <= 52:  # 27 + 52 < 80 columns
+                rows[-1] += ", " + pair
+            else:
+                rows[-1] += ","
+                rows.append(pair)
+        if suite.note:
+            rows[-1] += " " + suite.note
+        lines.append(f"  {name:<25}" + ("\n" + " " * 27).join(rows))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_verify(ns):
-    runner = _SUITES.get(ns.suite)
-    if runner is None:
-        raise UsageError(f"unknown suite {ns.suite!r}; choose from "
-                         f"{', '.join(sorted(_SUITES))}")
-    params, details, ok = runner(ns, RngStream(ns.seed))
+    suite = _SUITES[ns.suite]
+    ignored = sorted({key for other in _SUITES.values() for key in other.defaults
+                      if key not in suite.defaults and getattr(ns, key) is not None})
+    if ignored:
+        raise UsageError(
+            f"suite {ns.suite} does not read "
+            f"{', '.join('--' + _flag(k) for k in ignored)}; it reads "
+            f"{', '.join('--' + _flag(k) for k in suite.defaults)}")
+    params = {k: _pick(getattr(ns, k), v) for k, v in suite.defaults.items()}
+    details, ok = suite.run(params, RngStream(ns.seed))
     doc = {"suite": ns.suite, "params": params, "details": details,
            "pass": ok}
     _print_json(doc, ns)
@@ -442,6 +415,7 @@ def cmd_verify(ns):
 
 
 def cmd_analyze(ns):
+    lats = [(spec, parse_lattice(spec)) for spec in ns.lattices or []]
     root = RngStream(ns.seed)
     cols = ["snr", "n", "eps", "capacity", "dispersion",
             "normal_approx_rate", "delta_eps_n", "intro_gap"]
@@ -458,8 +432,7 @@ def cmd_analyze(ns):
             lines.append(",".join(_fmt(v) for v in row))
     _emit_csv(lines, ns.csv, ns)
     sandwich = {}
-    for i, spec in enumerate(ns.lattices or []):
-        lat = parse_lattice(spec)
+    for i, (spec, lat) in enumerate(lats):
         sandwich[spec] = cdlp_sandwich(lat, ns.eps, trials=ns.inv_trials,
                                        rng=root.child(50 + i))
     if ns.csv or sandwich:
@@ -468,9 +441,9 @@ def cmd_analyze(ns):
 
 
 def cmd_converse(ns):
-    rep = converse_experiment(parse_lattice(ns.lattice), ns.sigma_s,
-                              ns.sigma_w, ns.trials, RngStream(ns.seed))
-    ok = rep.entropy_ok and rep.error_ok
+    suite = _SUITES["converse"]
+    rep, ok = suite.run({k: getattr(ns, k) for k in suite.defaults},
+                        RngStream(ns.seed))
     doc = _jsonable(rep)
     doc["pass"] = ok
     _print_json(doc, ns)
@@ -656,7 +629,7 @@ def build_parser():
                     "Probabilities are compared through 99%% confidence "
                     "intervals, rates and entropies are nats per channel "
                     "use, power is per dimension in sigma_s^2 units.",
-        epilog=_SUITE_DEFAULTS,
+        epilog=_suites_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--suite", required=True, choices=sorted(_SUITES),
                    help="suite name")
@@ -713,15 +686,16 @@ def build_parser():
                     "entropy_rate vs entropy_upper (nats per channel use), "
                     "p_err with 99%% Clopper-Pearson ci vs half_gap = "
                     "(1-p0)/2 (probability). Exit 1 if a check fails.")
-    p.add_argument("--lattice", default="Z",
-                   help="name, SCALE*NAME, or JSON file (default Z)")
-    p.add_argument("--sigma-s", type=float, default=1.0,
-                   help="signal deviation (amplitude, default 1)")
-    p.add_argument("--sigma-w", type=float, default=2.0,
-                   help="noise deviation (amplitude, default 2)")
-    p.add_argument("--trials", type=int, default=100_000,
-                   help="transmissions (default 100000)")
-    p.set_defaults(func=cmd_converse)
+    conv = {k: _default_text(v) for k, v in _SUITES["converse"].defaults.items()}
+    p.set_defaults(func=cmd_converse, **_SUITES["converse"].defaults)
+    p.add_argument("--lattice",
+                   help=f"name, SCALE*NAME, or JSON file (default {conv['lattice']})")
+    p.add_argument("--sigma-s", type=float,
+                   help=f"signal deviation (amplitude, default {conv['sigma_s']})")
+    p.add_argument("--sigma-w", type=float,
+                   help=f"noise deviation (amplitude, default {conv['sigma_w']})")
+    p.add_argument("--trials", type=int,
+                   help=f"transmissions (default {conv['trials']})")
 
     return parser
 

@@ -185,15 +185,3 @@ def coords_differ(config: CodecConfig, diff) -> np.ndarray:
     minv = np.linalg.inv(m.astype(float))
     k = np.rint(diff @ minv.T).astype(np.int64)
     return ~(k @ m.T == diff).all(axis=1)
-
-
-def suggest_mod_b(sigma_s, n, eps_peak) -> float:
-    """Modulus sized from the coordinate-tail union bound 2n*exp(-t^2/2).
-
-    Solving 2n*exp(-t^2/2) = eps_peak gives t = sqrt(2 log(2n/eps_peak));
-    the suggested modulus is B = sigma_s * t. Only the sqrt(log n) shape is
-    forced; the proportionality constant is a free implementation choice.
-    """
-    if not (0 < eps_peak < 1):
-        raise InvalidParams("eps_peak must be in (0,1)")
-    return sigma_s * math.sqrt(2 * math.log(2 * n / eps_peak))

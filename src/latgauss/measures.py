@@ -24,9 +24,10 @@ law is the product of n laws on the line cZ, so it runs as n rows of cZ.
 
 On top of that primitive: the zero-point probability mass, exact entropy via
 two independent routes (a mass/second-moment identity and a direct -sum p
-log p), the smoothing parameter, flatness-factor brackets, the effective
-noise density of the MMSE-scaled channel, and a Siegel-style mean check for
-random mod-p lattices.
+log p), the smoothing parameter, and flatness-factor brackets. Two more back
+the paper's argument: the folded effective-noise density of the MMSE-scaled
+channel, and a Siegel-style mean of f_sigma over random mod-p lattices (the
+AWGN-good ensemble); demo 03 prints both.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def _tail_h(t):
     return -t + 0.5 * math.log(2 * math.e * t)
 
 
-def solve_tail_t(n, log_target):
+def _solve_tail_t(n, log_target):
     """Smallest t >= 1 with n * h(t) <= log_target, h(t) = -t + log(2 e t)/2.
 
     By the norm tail bound in the module docstring, the ball of radius
@@ -131,7 +132,7 @@ def solve_tail_t(n, log_target):
 
 def _check_sigma(sigma):
     if not (sigma > 0 and np.isfinite(sigma)):
-        raise InvalidParams("sigma must be positive and finite")
+        raise InvalidParams(f"sigma must be positive and finite, got {sigma}")
 
 
 def gaussian_pdf(sigma, x):
@@ -161,7 +162,7 @@ def _certified_radius(lat, rnorm2, sigma, rel_tol):
         log_rho_c = centered.log_raw_sum + math.log1p(rel_tol)
         log_target = math.log(rel_tol / 4) + log_m0 - log_rho_c
         log_extra = log_rho_c - log_m0
-    t = solve_tail_t(lat.n, log_target)
+    t = _solve_tail_t(lat.n, log_target)
     tail = 2 * math.exp(min(lat.n * _tail_h(t) + log_extra, math.log(rel_tol / 2)))
     return sigma * math.sqrt(2 * lat.n * t), tail
 
@@ -401,23 +402,6 @@ def effective_noise_pdf(lat: Lattice, params, w, rel_tol=1e-9) -> float:
     num = enumerate_masses(lat, w, math.sqrt(params.alpha) * sig_s, rel_tol).mass
     den = enumerate_masses(lat, np.zeros(lat.n), sig_s, rel_tol).mass
     return float(gaussian_pdf(sig_eff, w) * num / den)
-
-
-def effective_noise_bounds(lat: Lattice, params, w, eps) -> dict:
-    """Pointwise and tail bounds for the effective noise.
-
-    pdf_upper: (1 + flatness upper at sqrt(alpha) sigma_s) * f_sigma_eff(w).
-    tail_prob_bound: Pr[||W_eff|| > sqrt((1+eps) n) sigma_eff] bound
-    exp(-(n/4)(eps^2 - eps^3)), for eps in (0, 1).
-    """
-    if not (0 < eps < 1):
-        raise InvalidParams("eps must be in (0, 1)")
-    w = np.asarray(w, dtype=float)
-    sig_s = math.sqrt(params.sigma_s2)
-    flat = flatness_factor(lat, math.sqrt(params.alpha) * sig_s, samples=2).upper
-    pdf_upper = float((1.0 + flat) * gaussian_pdf(math.sqrt(params.sigma_eff2), w))
-    tail = math.exp(-(lat.n / 4) * (eps**2 - eps**3))
-    return {"pdf_upper": pdf_upper, "tail_prob_bound": tail}
 
 
 def random_lattice_mean_check(n, volume, trials, sigma, rng, p=127, k=None) -> dict:

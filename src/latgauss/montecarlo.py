@@ -1,9 +1,10 @@
 """Seeded statistical verification harness.
 
-Estimators for the quantities the closed forms cannot reach (Voronoi escape
-probabilities, the inverse error function, per-dither error rates) plus the
-verification suites that check the distributional lemmas and the end-to-end
-theorem at desk scale.
+Estimators for the quantities the closed forms cannot reach (the inverse
+error function, read off the critical scales at which Gaussian noise escapes
+the Voronoi cell, and per-dither error rates) plus the verification suites
+that check the distributional lemmas and the end-to-end theorem at desk
+scale.
 
 Conventions:
  - proportions get two-sided Clopper-Pearson 99% intervals; means get
@@ -51,7 +52,6 @@ from .sampling import (
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 TWO_PI_E = 2 * math.pi * math.e
-ESCAPE_CHUNK = 1 << 17  # rows per voronoi_escape child stream
 
 
 @dataclass(frozen=True)
@@ -121,26 +121,6 @@ def mean_ci(values, seed=0, pad=0.0) -> CIEstimate:
     m = float(values.mean())
     half = Z99 * float(values.std(ddof=1)) / math.sqrt(n) + pad
     return CIEstimate(p_hat=m, lo=m - half, hi=m + half, trials=n, seed=int(seed))
-
-
-def _escape_count(lat, points):
-    return decode_batch(lat, points).any(axis=1)
-
-
-def voronoi_escape(lat: Lattice, sigma, trials, rng: RngStream) -> CIEstimate:
-    """Pr[sigma * Z escapes the Voronoi cell], Z standard normal."""
-    if trials < 100:
-        raise InvalidParams("need at least 100 trials")
-    k = 0
-    done = 0
-    i = 0
-    while done < trials:
-        m = min(ESCAPE_CHUNK, trials - done)
-        z = sample_normal(sigma, lat.n, rng.child(i), trials=m)
-        k += int(_escape_count(lat, z).sum())
-        done += m
-        i += 1
-    return proportion_ci(k, trials, seed=rng.seed)
 
 
 def zn_err_inv(n, eps, scale=1.0):
@@ -251,13 +231,6 @@ def inverse_error_function(lat: Lattice, eps, trials=200_000, tol=1e-3,
             )
         n = min(4 * n, max_trials)
         rung += 1
-
-
-def nvnr(lat: Lattice, eps, trials=200_000, tol=1e-3, rng: RngStream = None) -> dict:
-    """Normalized volume-to-noise ratio mu and modulation loss gamma."""
-    err_inv = inverse_error_function(lat, eps, trials, tol, rng)
-    mu = err_inv**2 * lat.volume ** (2.0 / lat.n)
-    return {"err_inv": err_inv, "mu": mu, "gamma": mu / TWO_PI_E}
 
 
 def dither_audit(config: CodecConfig, t, eps, trials, rng: RngStream) -> DitherAudit:
@@ -407,7 +380,7 @@ def run_trials(config: CodecConfig, t, rng: RngStream,
         if config.peak != "off":
             raise InvalidParams("escape comparison needs peak control off")
         w_eff = (p.alpha - 1.0) * x + p.alpha * w
-        esc = _escape_count(scaled, w_eff)
+        esc = decode_batch(scaled, w_eff).any(axis=1)
         out["escapes"] = int(esc.sum())
         out["mismatches"] = int((esc != err).sum())
     return out

@@ -41,7 +41,7 @@ def discrete_gaussian(lat: Lattice, shift, sigma, tail=DEFAULT_TAIL) -> Discrete
 def sample_indices(spec: DiscreteGaussianSpec, rng: RngStream, trials):
     """Inverse-CDF draws: `trials` indices into the spec's support."""
     if trials < 1:
-        raise InvalidParams("trials must be positive")
+        raise InvalidParams(f"trials must be at least 1, got {trials}")
     u = rng.generator().random(trials)
     idx = np.searchsorted(spec.cum, u, side="right")
     return np.minimum(idx, len(spec.cum) - 1)
@@ -55,11 +55,12 @@ def sample_discrete_gaussian(spec: DiscreteGaussianSpec, rng: RngStream, trials)
 def sample_normal(sigma, n, rng: RngStream, trials):
     """`trials` mean-zero normal rows of width n, deviation sigma, (trials, n)."""
     if not (sigma > 0 and np.isfinite(sigma)):
-        raise InvalidParams("sigma must be positive and finite")
-    m = int(trials)
-    if m < 1 or n < 1:
-        raise InvalidParams("need positive dimensions")
-    return rng.generator().standard_normal((m, n)) * sigma
+        raise InvalidParams(f"sigma must be positive and finite, got {sigma}")
+    if trials < 1:
+        raise InvalidParams(f"trials must be at least 1, got {trials}")
+    if n < 1:
+        raise InvalidParams(f"n must be at least 1, got {n}")
+    return rng.generator().standard_normal((int(trials), n)) * sigma
 
 
 def check_nested(coarse: Lattice, fine: Lattice, tol=1e-9):

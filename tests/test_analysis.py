@@ -13,10 +13,8 @@ from latgauss.analysis import (
     finite_blocklength,
     gaussian_tail,
     max_nld,
-    phi,
     q_inverse,
     theorem1_gap,
-    zamir_conjecture_bound,
 )
 from latgauss.errors import InvalidParams, NonPositive
 from latgauss.lattices import standard_lattice
@@ -132,13 +130,6 @@ def test_dither_rate_bound_values():
         dither_rate_bound(0.0)
 
 
-def test_phi_coefficient():
-    assert phi(math.pi) == pytest.approx(0.5483378369938258, abs=1e-12)
-    assert phi(1.0) == pytest.approx(1.0 - math.log(2 * math.e) / 2.0, rel=1e-14)
-    with pytest.raises(InvalidParams):
-        phi(0.5)
-
-
 def eta_z_brute(eps):
     # independent root of 2 sum_k exp(-s^2 k^2 / 2) = eps
     k = np.arange(1, 400, dtype=float)
@@ -162,27 +153,3 @@ def test_cdlp_sandwich_on_z():
     assert got["ok"]
     with pytest.raises(InvalidParams):
         cdlp_sandwich(standard_lattice("Z"), 0.5)
-
-
-def test_zamir_bound_on_z():
-    got = zamir_conjecture_bound(standard_lattice("Z"), 0.05, nsm_trials=20_000,
-                                 rng=RngStream(71), err_trials=50_000)
-    # G(Z) = 1/12
-    assert got["g"].lo <= 1.0 / 12.0 <= got["g"].hi
-    assert got["bound"] == pytest.approx(0.5 * math.log(got["mu"] * got["g"].p_hat))
-    assert got["gap_from_theorem1"] == pytest.approx(theorem1_gap(got["gamma"], 1))
-    assert got["g"].p_hat * 2 * math.pi * math.e >= 1.0
-
-
-def test_zamir_bound_on_a2():
-    got = zamir_conjecture_bound(standard_lattice("A2"), 0.05, nsm_trials=20_000,
-                                 rng=RngStream(72), err_trials=50_000)
-    # G(A2) = 5 / (36 sqrt(3))
-    want = 5.0 / (36.0 * math.sqrt(3.0))
-    assert got["g"].lo <= want <= got["g"].hi
-    assert got["mu"] == pytest.approx(got["gamma"] * 2 * math.pi * math.e, rel=1e-12)
-
-
-def test_zamir_bound_needs_enough_samples():
-    with pytest.raises(InvalidParams):
-        zamir_conjecture_bound(standard_lattice("Z"), 0.05, nsm_trials=5000)

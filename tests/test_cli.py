@@ -93,9 +93,10 @@ def test_env_seed_applies_and_flag_wins(monkeypatch, capsys):
 
 def test_failing_suite_exits_one(monkeypatch, capsys):
     # every shipped suite checks a statement that holds for all reachable
-    # inputs, so the failure path is exercised by stubbing one runner
-    monkeypatch.setitem(cli._SUITES, "chernoff",
-                        lambda ns, rng: ({}, {"pass": False}, False))
+    # inputs, so the failure path is exercised by stubbing one suite's call
+    stub = cli._SUITES["chernoff"]._replace(
+        run=lambda params, root: ({"pass": False}, False))
+    monkeypatch.setitem(cli._SUITES, "chernoff", stub)
     code, doc = run_json(capsys, ["verify", "--suite", "chernoff"])
     assert code == 1
     assert doc["pass"] is False
@@ -124,6 +125,58 @@ def test_bad_values_are_usage_errors(argv, value, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error")
     assert value in err
+
+
+def test_verify_rejects_flags_the_suite_does_not_read(tmp_path, capsys):
+    assert cli.run(["verify", "--suite", "negative-moment", "--dithers", "100",
+                    "--snr", "5", "--gammas", "3", "--fine", "E8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "does not read --fine, --gammas, --snr;" in err
+    assert "it reads --lattice, --sigma, --dithers" in err
+    # config keys become flags, so they are checked the same way
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma_w = 3\n", encoding="utf-8")
+    assert cli.run(["verify", "--suite", "chernoff", "--config", str(cfg)]) == 2
+    assert "does not read --sigma-w;" in capsys.readouterr().err
+
+
+def test_sweep_checks_the_grid_before_any_work(monkeypatch, capsys):
+    def inversion(*args, **kwargs):
+        raise AssertionError("inverse_error_function was called")
+
+    monkeypatch.setattr(cli, "inverse_error_function", inversion)
+    assert cli.run(["sweep", "--lattice", "D4", "--snr-grid", "1,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "got [0.0]" in err
+
+
+def test_analyze_parses_every_lattice_before_printing(capsys):
+    assert cli.run(["analyze", "--snr-grid", "1", "--n-grid", "100",
+                    "--lattices", "Z2,Q7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Q7" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--lattice", "Z", "--snr", "1", "--scale", "2",
+      "--trials", "0"], "trials must be at least 1, got 0"),
+    (["converse", "--trials", "0"], "trials must be at least 1, got 0"),
+    (["verify", "--suite", "tail-bounds", "--trials", "0"],
+     "trials must be at least 1, got 0"),
+    (["sample", "--lattice", "Z", "--sigma", "1", "--n-samples", "0"],
+     "trials must be at least 1, got 0"),
+    (["measure", "--lattice", "Z", "--sigma", "-1"],
+     "sigma must be positive and finite, got -1.0"),
+    (["verify", "--suite", "sampling-lemma", "--sigma-s", "-1",
+      "--trials", "10000"], "sigma must be positive and finite, got -1.0"),
+], ids=["simulate", "converse", "tail-bounds", "sample", "measure",
+        "sampling-lemma"])
+def test_errors_name_the_value(argv, message, capsys):
+    assert cli.run(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_config_file_fills_flags_and_flags_override(tmp_path, capsys):

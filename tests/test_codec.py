@@ -9,7 +9,6 @@ from latgauss.codec import (
     coords_differ,
     draw_dithers,
     mod_interval,
-    suggest_mod_b,
     transmit_batch,
 )
 from latgauss.errors import DimensionMismatch, InvalidParams, NonPositive, NotNested
@@ -103,15 +102,6 @@ def test_mod_interval_half_open():
     assert mod_interval(-1.5, 3.0) == -1.5
     assert mod_interval(1.5, 3.0) == -1.5
     np.testing.assert_allclose(mod_interval(np.array([0.2, -0.2]), 3.0), [0.2, -0.2])
-
-
-def test_suggest_mod_b_value_and_guard():
-    assert suggest_mod_b(1.0, 8, 0.01) == pytest.approx(
-        math.sqrt(2 * math.log(1600.0)), rel=1e-14
-    )
-    assert suggest_mod_b(1.0, 8, 0.01) == pytest.approx(3.841291165279683, rel=1e-12)
-    with pytest.raises(InvalidParams):
-        suggest_mod_b(1.0, 8, 0.0)
 
 
 def test_near_noiseless_channel_decodes_exactly():

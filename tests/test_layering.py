@@ -7,15 +7,19 @@ Each module may import only from its own layer or an earlier one:
 
 The package root re-exports names from errors, rng and lattices, so it ranks
 with lattices. No relative import may name a private (underscore) symbol:
-a module reaches another only through its public names.
+a module reaches another only through its public names. Every public
+top-level def and class has a caller: a reference, by name, from the package
+outside its own definition, from a demo, or from a console script.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "latgauss"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "latgauss"
 
 LAYERS = (
     ("errors", "rng"),
@@ -71,3 +75,28 @@ def test_relative_imports_name_no_private_symbol(module):
                for name in names
                if name.startswith("_") and not name.endswith("__")]
     assert private == [], f"{module} imports private names"
+
+
+def referenced_names(node):
+    """Names a syntax tree loads, bare or as an attribute."""
+    return ({n.id for n in ast.walk(node)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_every_public_def_has_a_caller():
+    # the functions that pyproject.toml's [project.scripts] entries call
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.partition("[project.scripts]")[2].partition("\n[")[0]
+    refs = set(re.findall(r'^[\w.-]+\s*=\s*"[\w.]+:(\w+)"', scripts, re.M))
+    defs = []
+    for path in [SRC / f"{m}.py" for m in MODULES] + sorted(ROOT.glob("demos/*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = referenced_names(node)
+            if path.parent == SRC and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)  # a recursive call is no caller
+                if not node.name.startswith("_"):
+                    defs.append(f"{path.stem}.{node.name}")
+            refs |= names
+    orphans = [d for d in defs if d.partition(".")[2] not in refs]
+    assert orphans == [], f"public defs without a caller: {orphans}"

@@ -19,7 +19,6 @@ from latgauss.lattices import (
 )
 from latgauss.measures import (
     batch_coset_stats,
-    effective_noise_bounds,
     effective_noise_pdf,
     entropy_exact,
     enumerate_masses,
@@ -310,17 +309,14 @@ def test_effective_noise_pdf_integrates_to_one():
 
 
 def test_effective_noise_bounds():
+    # (1 + flatness at sqrt(alpha) sigma_s) f_sigma_eff dominates the exact
+    # density wherever we look
     params = channel_params(1.0, 1.0)
-    got = effective_noise_bounds(Z, params, [0.3], 0.5)
-    assert got["tail_prob_bound"] == pytest.approx(math.exp(-0.25 * (0.25 - 0.125)), rel=1e-14)
-    # pointwise bound dominates the exact density wherever we look
+    sigma = math.sqrt(params.alpha) * math.sqrt(params.sigma_s2)
+    flat = flatness_factor(Z, sigma, samples=2).upper
     for w in (0.0, 0.2, 0.45):
-        bound = effective_noise_bounds(Z, params, [w], 0.5)["pdf_upper"]
+        bound = (1.0 + flat) * gaussian_pdf(math.sqrt(params.sigma_eff2), [w])
         assert effective_noise_pdf(Z, params, [w]) <= bound
-    with pytest.raises(InvalidParams):
-        effective_noise_bounds(Z, params, [0.0], 0.0)
-    with pytest.raises(InvalidParams):
-        effective_noise_bounds(Z, params, [0.0], 1.0)
 
 
 def test_random_lattice_mean_tracks_prediction():

@@ -26,7 +26,6 @@ from latgauss.montecarlo import (
     markov_error_suite,
     mean_ci,
     negative_moment_check,
-    nvnr,
     peak_tail_check,
     proportion_ci,
     run_trials,
@@ -34,7 +33,6 @@ from latgauss.montecarlo import (
     tail_bounds_suite,
     theorem1_suite,
     transmission_experiment,
-    voronoi_escape,
     zn_err_inv,
     _critical_scales,
 )
@@ -99,15 +97,13 @@ def test_zn_err_inv_closed_form():
 
 
 def test_voronoi_escape_matches_closed_form():
+    # the decoded point is nonzero exactly when N(0, I) leaves the cell of 0
     want1 = 2 * float(stats.norm.sf(0.5))
-    ci = voronoi_escape(Z, 1.0, 100_000, RngStream(41))
-    assert ci.lo <= want1 <= ci.hi
     stay = 1 - want1
-    want2 = 1 - stay**2
-    ci2 = voronoi_escape(standard_lattice("Z2"), 1.0, 100_000, RngStream(42))
-    assert ci2.lo <= want2 <= ci2.hi
-    with pytest.raises(InvalidParams):
-        voronoi_escape(Z, 1.0, 50, RngStream(0))
+    for lat, want, seed in ((Z, want1, 41), (standard_lattice("Z2"), 1 - stay**2, 42)):
+        z = sample_normal(1.0, lat.n, RngStream(seed).child(0), trials=100_000)
+        ci = proportion_ci(int(decode_batch(lat, z).any(axis=1).sum()), 100_000)
+        assert ci.lo <= want <= ci.hi
 
 
 @pytest.mark.parametrize(
@@ -165,14 +161,6 @@ def test_inverse_error_function_guards():
     with pytest.raises(ResolutionExceeded):
         inverse_error_function(Z, 0.05, trials=2000, tol=1e-7,
                                rng=RngStream(1), max_trials=2000)
-
-
-def test_nvnr_gamma_of_z():
-    got = nvnr(Z, 0.05, trials=50_000, rng=RngStream(45))
-    closed = zn_err_inv(1, 0.05)
-    assert got["err_inv"] == pytest.approx(closed, rel=6e-3)
-    assert got["mu"] == pytest.approx(got["err_inv"] ** 2)
-    assert got["gamma"] == pytest.approx(closed**2 / (2 * math.pi * math.e), rel=0.02)
 
 
 @pytest.mark.parametrize(
