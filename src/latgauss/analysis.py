@@ -129,13 +129,12 @@ def dither_rate_bound(snr) -> dict:
     return {"bound": max(0.0, raw), "no_dither_needed": raw <= 0.0}
 
 
-def cdlp_sandwich(lat: Lattice, eps, trials=400_000, tol=1e-3,
-                  rng: RngStream = None) -> dict:
+def cdlp_sandwich(lat: Lattice, eps, trials=400_000, rng: RngStream = None) -> dict:
     """Smoothing-parameter sandwich around the inverse error function.
 
     eta_{eps/(1-eps)}(dual) <= err_inv_eps(lat) <= 2 eta_eps(dual); the
-    middle term is Monte Carlo, so ok allows its CI-scale slack on both
-    comparisons.
+    middle term is Monte Carlo to a relative 1e-3, so ok allows its
+    CI-scale slack on both comparisons.
     """
     if not 0.0 < eps < 0.5:
         raise InvalidParams("eps must be in (0, 0.5)")
@@ -144,6 +143,7 @@ def cdlp_sandwich(lat: Lattice, eps, trials=400_000, tol=1e-3,
     d = dual(lat)
     lower = smoothing_parameter(d, eps / (1.0 - eps)).s
     upper = 2.0 * smoothing_parameter(d, eps).s
+    tol = 1e-3
     mid = inverse_error_function(lat, eps, trials=trials, tol=tol, rng=rng)
     slack = 3.0 * tol * mid
     ok = (lower - slack <= mid <= upper + slack)

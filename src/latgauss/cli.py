@@ -170,18 +170,17 @@ def parse_dither(spec):
         return spec, None
     if spec.startswith("discrete:"):
         return "discrete", parse_lattice(spec.split(":", 1)[1])
-    raise UsageError("dither must be none, cont, or discrete:<lattice>")
+    raise UsageError(f"--dither {spec!r}: must be none, cont, or discrete:<lattice>")
 
 
-def parse_peak(spec, params):
-    if spec == "off":
-        return "off", {}
-    if spec == "zeroize":  # a budget a Gaussian rarely hits
-        return "zeroize", {"peak_budget": 4.0 * params.sigma_s2}
+def parse_peak(spec):
+    """(mode, codec_config keywords); a bare zeroize gets its budget later."""
+    if spec == "off" or spec == "zeroize":
+        return spec, {}
     mode, _, value = spec.partition(":")
     key = {"zeroize": "peak_budget", "modb": "mod_b"}.get(mode)
     if key is None:
-        raise UsageError("peak must be off, zeroize[:P], or modb:<B>")
+        raise UsageError(f"--peak {spec!r}: must be off, zeroize[:P], or modb:<B>")
     try:
         return mode, {key: float(value)}
     except ValueError:
@@ -244,13 +243,14 @@ def cmd_sample(ns):
     return 0
 
 
-def _build_codec(ns, lat, params, err_inv):
-    """Config for the --dither and --peak modes at one channel.
+def _build_codec(ns, lat, params, err_inv, modes):
+    """Config for the parsed --dither and --peak `modes` at one channel.
 
     The scale is err_inv * sigma_eff, or --scale when err_inv is None.
     """
-    dither, fine = parse_dither(ns.dither)
-    peak, peak_kw = parse_peak(ns.peak, params)
+    dither, fine, peak, peak_kw = modes
+    if peak == "zeroize" and not peak_kw:  # a budget a Gaussian rarely hits
+        peak_kw = {"peak_budget": 4.0 * params.sigma_s2}
     scale = ns.scale if err_inv is None else err_inv * params.sigma_eff
     return codec_config(lat, scale, params, dither=dither, dither_fine=fine,
                         peak=peak, **peak_kw)
@@ -259,12 +259,13 @@ def _build_codec(ns, lat, params, err_inv):
 def cmd_simulate(ns):
     lat = parse_lattice(ns.lattice)
     params = resolve_channel(ns)
+    modes = (*parse_dither(ns.dither), *parse_peak(ns.peak))  # before any work
     root = RngStream(ns.seed)
     err_inv = None
     if ns.scale is None:
         err_inv = inverse_error_function(lat, ns.eps, trials=ns.inv_trials,
                                          rng=root.child(1))
-    config = _build_codec(ns, lat, params, err_inv)
+    config = _build_codec(ns, lat, params, err_inv, modes)
     res = transmission_experiment(config, ns.trials, root.child(2),
                                   keep_err=bool(ns.csv))
     err = res.pop("err", None)
@@ -294,12 +295,14 @@ def cmd_sweep(ns):
     if bad:
         raise UsageError(f"--snr-grid entries must be positive, got {bad}")
     lat = parse_lattice(ns.lattice)
+    modes = (*parse_dither(ns.dither), *parse_peak(ns.peak))  # before any work
     root = RngStream(ns.seed)
     err_inv = inverse_error_function(lat, ns.eps, trials=ns.inv_trials,
                                      rng=root.child(1))
     lines = ["snr,scale,p_err,ci_lo,ci_hi,avg_power,rate_proxy"]
     for i, snr in enumerate(ns.snr_grid):
-        config = _build_codec(ns, lat, channel_params(1.0, 1.0 / snr), err_inv)
+        config = _build_codec(ns, lat, channel_params(1.0, 1.0 / snr), err_inv,
+                              modes)
         r = transmission_experiment(config, ns.trials, root.child(10 + i))
         ci = r["p_err"]
         lines.append(",".join(_fmt(v) for v in (
@@ -416,6 +419,8 @@ def cmd_verify(ns):
 
 def cmd_analyze(ns):
     lats = [(spec, parse_lattice(spec)) for spec in ns.lattices or []]
+    if lats and not 0.0 < ns.eps < 0.5:  # cdlp_sandwich's range, before any output
+        raise UsageError(f"--eps must be in (0, 0.5) with --lattices, got {ns.eps}")
     root = RngStream(ns.seed)
     cols = ["snr", "n", "eps", "capacity", "dispersion",
             "normal_approx_rate", "delta_eps_n", "intro_gap"]

@@ -16,11 +16,13 @@ conservative factor-two slack throughout. Sums are accumulated with exact
 (fsum) summation after factoring out the largest exponent, which keeps tiny
 masses meaningful and makes results independent of enumeration order.
 
-Batches of shifted rows share one path: padded_coset_support enumerates a
-single ball, certified by the same radius rule and padded by the covering
-bound, for every row of a batch. It is behind batch_coset_stats here and
-sampling.batch_coset_sample. Scaled Z^n has no path of its own: its coset
-law is the product of n laws on the line cZ, so it runs as n rows of cZ.
+Batches of rows share one front door, padded_coset_support, behind
+batch_coset_stats here and sampling.batch_coset_sample. It accepts any
+shift, since the law depends only on the coset. It alone knows that scaled
+Z^n is a product of n laws on the line cZ and splits each row into n rows
+of cZ; it decodes every row to the Voronoi cell, and enumerates a single
+ball, certified by the same radius rule and padded by the covering bound,
+for all of them. The two consumers fold the working rows back per row.
 
 On top of that primitive: the zero-point probability mass, exact entropy via
 two independent routes (a mass/second-moment identity and a direct -sum p
@@ -41,10 +43,10 @@ from .errors import BracketFailure, InternalMismatch, InvalidParams
 from .lattices import (
     Lattice,
     closest_point,
+    decode_batch,
     dual,
     enumerate_coset,
     mod_lattice,
-    reduce_batch,
     scale_lattice,
     standard_lattice,
 )
@@ -293,8 +295,9 @@ def flatness_factor(lat: Lattice, sigma, samples=512, seed=0) -> FlatnessBracket
 
     The upper bound is the dual theta tail sum_{y in Lambda*\\0}
     exp(-2 pi^2 sigma^2 ||y||^2) from the Fourier expansion. The lower bound
-    maximizes the deviation over scrambled low-discrepancy points reduced to
-    the cell, so lower <= true flatness <= upper.
+    maximizes the deviation over scrambled low-discrepancy points of the
+    basis cell (the coset mass is Lambda-periodic, so this covers the
+    Voronoi cell), so lower <= true flatness <= upper.
     """
     _check_sigma(sigma)
     if samples < 1:
@@ -310,24 +313,43 @@ def flatness_factor(lat: Lattice, sigma, samples=512, seed=0) -> FlatnessBracket
 
     sob = qmc.Sobol(d=lat.n, scramble=True, seed=seed)
     u = sob.random(samples)
-    cell = reduce_batch(lat, u @ lat.basis.T)
-    vals = batch_coset_stats(lat, cell, sigma, rel_tol=1e-9)["mass"]
+    vals = batch_coset_stats(lat, u @ lat.basis.T, sigma, rel_tol=1e-9)["mass"]
     lower = float(np.abs(lat.volume * vals - 1.0).max())
     return FlatnessBracket(lower=lower, upper=upper, samples=samples)
 
 
-def padded_coset_support(lat: Lattice, rows, sigma, rel_tol=1e-9, chunk=256):
-    """One certified support shared by D_{Lambda+r,sigma} for all rows r.
+_ROW_CHUNK = 256  # rows per distance block
 
-    Rows must lie in the Voronoi cell (see reduce_batch), so their norms
-    are at most mu = covering_bound. The ball certified for a shift of
-    norm mu (as in enumerate_masses) is padded by mu, so each row keeps a
-    truncation of at most rel_tol of its mass.
 
-    Returns (coords, chunks): the support's integer coordinates and an
-    iterator of (a, b, d2) over row chunks a:b of at most `chunk` rows
-    (and near 8M entries of d2), d2[i, j] = ||rows[a + i] + x_j||^2.
+def padded_coset_support(lat: Lattice, shifts, sigma, rel_tol):
+    """The one front door for batch coset rows: D_{Lambda+t,sigma} per row t.
+
+    Any shift is accepted, as the law depends only on t mod Lambda. Scaled
+    Z^n (n > 1) is split first: its coset law is the product of the n laws
+    D_{cZ+t_j,sigma}, so each row becomes n rows of the line cZ, each
+    certified to rel_tol / n. Every working row is decoded to its anchor and
+    reduced to the Voronoi cell, so its norm is at most mu = covering_bound;
+    the ball certified for a shift of norm mu (as in enumerate_masses),
+    padded by mu, then keeps each row's truncation below rel_tol.
+
+    Returns (anchors, coords, chunks): the working rows' decoded
+    coordinates (n rows per row on scaled Z^n), the support's integer
+    coordinates, and an iterator of (a, b, d2) over working rows a:b (near
+    8M entries of d2 at most), d2[i, j] = ||r_{a+i} + x_j||^2 for reduced
+    rows r and support points x.
     """
+    _check_sigma(sigma)
+    shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
+    if shifts.shape[1] != lat.n:
+        raise InvalidParams(f"shift width {shifts.shape[1]} does not match "
+                            f"the lattice dimension {lat.n}")
+    chunk = _ROW_CHUNK
+    if lat.family is not None and lat.family[0] == "Zn" and lat.n > 1:
+        rel_tol, chunk = rel_tol / lat.n, chunk * lat.n
+        lat = scale_lattice(standard_lattice("Z"), lat.basis[0, 0])
+        shifts = shifts.reshape(-1, 1)
+    anchors = decode_batch(lat, shifts)
+    rows = shifts - lat.embed(anchors)
     mu = lat.covering_bound
     radius = _certified_radius(lat, mu**2, sigma, rel_tol)[0] + mu
     scoords, spts = enumerate_coset(lat, np.zeros(lat.n), radius)
@@ -341,45 +363,22 @@ def padded_coset_support(lat: Lattice, rows, sigma, rel_tol=1e-9, chunk=256):
             rn2 = (r**2).sum(axis=1)[:, None]
             yield a, b, sn2[None, :] + 2.0 * (r @ spts.T) + rn2
 
-    return scoords, chunks()
+    return anchors, scoords, chunks()
 
 
-def coordinate_line(lat: Lattice):
-    """The line c*Z whose n-fold product is lat = c*Z^n, for n > 1; else None.
-
-    D_{cZ^n+t,sigma} is the product of the n laws D_{cZ+t_j,sigma}, so the
-    batch paths run such a lattice as n rows of its line per row.
-    """
-    if lat.family is None or lat.family[0] != "Zn" or lat.n == 1:
-        return None
-    return scale_lattice(standard_lattice("Z"), lat.basis[0, 0])
-
-
-def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9, chunk=256):
+def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9):
     """Per-row coset mass and exact conditional second moment.
 
-    For each row r of `shifts` (must already lie in the Voronoi cell, see
-    reduce_batch) returns f_sigma(Lambda + r) and E[||X||^2] for
-    X ~ D_{Lambda+r,sigma}, over the shared padded_coset_support. Scaled
-    Z^n (n > 1) runs as n rows of its coordinate_line per row, each
-    reduced and certified to rel_tol / n: the mass is their product and
-    the power their sum.
+    For each row t of `shifts` (any shift) returns f_sigma(Lambda + t) and
+    E[||X||^2] for X ~ D_{Lambda+t,sigma}, over padded_coset_support. Where
+    that splits a row into several, the mass is their product and the
+    power their sum.
     """
-    _check_sigma(sigma)
-    shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
-    m, n = shifts.shape
-    if n != lat.n:
-        raise InvalidParams(f"shift width {n} does not match the lattice dimension {lat.n}")
-    line = coordinate_line(lat)
-    if line is not None:
-        rows = reduce_batch(line, shifts.reshape(-1, 1))
-        st = batch_coset_stats(line, rows, sigma, rel_tol / n, chunk * n)
-        return {"mass": st["mass"].reshape(m, n).prod(axis=1),
-                "power": st["power"].reshape(m, n).sum(axis=1)}
-    _, chunks = padded_coset_support(lat, shifts, sigma, rel_tol, chunk)
-    mass = np.empty(m)
-    power = np.empty(m)
-    norm = (2 * math.pi * sigma**2) ** (n / 2)
+    anchors, _, chunks = padded_coset_support(lat, shifts, sigma, rel_tol)
+    split = lat.n // anchors.shape[1]  # working rows per row of shifts
+    mass = np.empty(anchors.shape[0])
+    power = np.empty(anchors.shape[0])
+    norm = (2 * math.pi * sigma**2) ** (anchors.shape[1] / 2)
     for a, b, d2 in chunks:
         e = -d2 / (2 * sigma**2)
         emax = e.max(axis=1, keepdims=True)
@@ -387,10 +386,11 @@ def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9, chunk=256):
         tot = w.sum(axis=1)
         mass[a:b] = np.exp(emax[:, 0]) * tot / norm
         power[a:b] = (w * d2).sum(axis=1) / tot
-    return {"mass": mass, "power": power}
+    return {"mass": mass.reshape(-1, split).prod(axis=1),
+            "power": power.reshape(-1, split).sum(axis=1)}
 
 
-def effective_noise_pdf(lat: Lattice, params, w, rel_tol=1e-9) -> float:
+def effective_noise_pdf(lat: Lattice, params, w) -> float:
     """Density of the folded effective noise of the MMSE-scaled channel.
 
     g(w) = f_sigma_eff(w) * f_{sqrt(alpha) sigma_s}(Lambda + w) / f_sigma_s(Lambda),
@@ -399,13 +399,13 @@ def effective_noise_pdf(lat: Lattice, params, w, rel_tol=1e-9) -> float:
     w = np.asarray(w, dtype=float)
     sig_eff = math.sqrt(params.sigma_eff2)
     sig_s = math.sqrt(params.sigma_s2)
-    num = enumerate_masses(lat, w, math.sqrt(params.alpha) * sig_s, rel_tol).mass
-    den = enumerate_masses(lat, np.zeros(lat.n), sig_s, rel_tol).mass
+    num = enumerate_masses(lat, w, math.sqrt(params.alpha) * sig_s).mass
+    den = enumerate_masses(lat, np.zeros(lat.n), sig_s).mass
     return float(gaussian_pdf(sig_eff, w) * num / den)
 
 
-def random_lattice_mean_check(n, volume, trials, sigma, rng, p=127, k=None) -> dict:
-    """Mean of f_sigma(Lambda) over random mod-p lattices rescaled to `volume`.
+def random_lattice_mean_check(n, volume, trials, sigma, rng) -> dict:
+    """Mean of f_sigma(Lambda) over random mod-127 lattices rescaled to `volume`.
 
     Compares against the Siegel-type prediction (2 pi sigma^2)^{-n/2} + 1/V
     (origin term plus average nonzero-point integral). Returns the empirical
@@ -415,14 +415,12 @@ def random_lattice_mean_check(n, volume, trials, sigma, rng, p=127, k=None) -> d
 
     if trials < 2:
         raise InvalidParams("need at least two trials")
-    if k is None:
-        k = max(1, n // 2)
     vals = np.empty(trials)
     for i in range(trials):
         if n == 1:
             lat = standard_lattice("Z")  # the 1-D case has a single shape
         else:
-            lat = random_mod_p_lattice(n, k, p, rng.child(i))
+            lat = random_mod_p_lattice(n, max(1, n // 2), 127, rng.child(i))
         c = (volume / lat.volume) ** (1.0 / n)
         vals[i] = enumerate_masses(scale_lattice(lat, c), np.zeros(n), sigma).mass
     predicted = (2 * math.pi * sigma**2) ** (-n / 2) + 1.0 / volume

@@ -152,6 +152,33 @@ def test_sweep_checks_the_grid_before_any_work(monkeypatch, capsys):
     assert "got [0.0]" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--lattice", "D4", "--snr", "1", "--dither", "bogus"],
+    ["simulate", "--lattice", "D4", "--snr", "1", "--peak", "bogus"],
+    ["sweep", "--lattice", "D4", "--snr-grid", "1", "--dither", "bogus"],
+    ["sweep", "--lattice", "D4", "--snr-grid", "1", "--peak", "bogus"],
+], ids=["simulate-dither", "simulate-peak", "sweep-dither", "sweep-peak"])
+def test_modes_are_parsed_before_the_inversion(argv, monkeypatch, capsys):
+    def inversion(*args, **kwargs):
+        raise AssertionError("inverse_error_function was called")
+
+    monkeypatch.setattr(cli, "inverse_error_function", inversion)
+    assert cli.run(argv + ["--trials", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "'bogus'" in err
+
+
+def test_analyze_checks_the_sandwich_eps_before_printing(capsys):
+    argv = ["analyze", "--snr-grid", "1", "--n-grid", "100", "--eps", "0.5"]
+    assert cli.run(argv + ["--lattices", "Z"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "got 0.5" in err
+    assert cli.run(argv) == 0  # the table alone accepts eps = 0.5
+    assert "\nsnr,n,eps," in capsys.readouterr().out
+
+
 def test_analyze_parses_every_lattice_before_printing(capsys):
     assert cli.run(["analyze", "--snr-grid", "1", "--n-grid", "100",
                     "--lattices", "Z2,Q7"]) == 2

@@ -100,3 +100,44 @@ def test_every_public_def_has_a_caller():
             refs |= names
     orphans = [d for d in defs if d.partition(".")[2] not in refs]
     assert orphans == [], f"public defs without a caller: {orphans}"
+
+
+def test_every_option_is_set_by_a_caller():
+    # an option no caller sets is a constant in disguise
+    options = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                positional = [x.arg for x in a.posonlyargs + a.args]
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults)
+                              if d is not None]
+                options[node.name] = (positional, defaulted)
+    set_by_caller = set()
+    files = [*SRC.glob("*.py"), *ROOT.glob("demos/*.py"),
+             *ROOT.glob("perfbench/*.py"), *ROOT.glob("tests/*.py")]
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {}  # call node -> name of the top-level def it sits in
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                own.update({id(n): top.name for n in ast.walk(top)})
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name not in options or (path.parent == SRC and own.get(id(call)) == name):
+                continue  # not an option holder, or a recursive call
+            positional, defaulted = options[name]
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                given = set(positional)
+            else:
+                given = set(positional[:len(call.args)])
+            for kw in call.keywords:
+                given |= set(defaulted) if kw.arg is None else {kw.arg}
+            set_by_caller |= {(name, o) for o in defaulted if o in given}
+    unset = sorted(f"{name}({o})" for name, (_, defaulted) in options.items()
+                   for o in defaulted if (name, o) not in set_by_caller)
+    assert unset == [], f"options that no caller sets: {unset}"

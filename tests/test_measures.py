@@ -273,6 +273,32 @@ def test_batch_coset_stats_matches_scalar_mass():
             assert m == pytest.approx(enumerate_masses(lat, row, 0.9).mass, rel=1e-10)
 
 
+# (lattice, sigma); E8 at sigma 0.25 keeps its shared support near 60k points
+UNREDUCED_CASES = [(standard_lattice("A2"), 0.5),
+                   (scale_lattice(standard_lattice("D4"), 1.3), 0.5),
+                   (standard_lattice("E8"), 0.25),
+                   (scale_lattice(standard_lattice("Z3"), -0.7), 0.5)]
+UNREDUCED_IDS = ["A2", "1.3D4", "E8", "-0.7Z3"]
+
+
+def unreduced_rows(lat, seed):
+    """(t, t + B v): reduced rows and the same cosets far from the cell."""
+    gen = np.random.default_rng(seed)
+    t = reduce_batch(lat, gen.normal(size=(12, lat.n)))
+    return t, t + lat.embed(gen.integers(-4, 5, size=t.shape))
+
+
+@pytest.mark.parametrize("lat,sigma", UNREDUCED_CASES, ids=UNREDUCED_IDS)
+def test_batch_coset_stats_accepts_any_shift(lat, sigma):
+    t, far = unreduced_rows(lat, 5)
+    near = batch_coset_stats(lat, t, sigma)
+    got = batch_coset_stats(lat, far, sigma)
+    np.testing.assert_allclose(got["mass"], near["mass"], rtol=1e-12)
+    np.testing.assert_allclose(got["power"], near["power"], rtol=1e-12)
+    want = [enumerate_masses(lat, row, sigma).mass for row in far]
+    np.testing.assert_allclose(got["mass"], want, rtol=1e-9)
+
+
 def test_batch_coset_stats_power_oracle():
     got = batch_coset_stats(Z, np.array([[0.0], [0.3]]), 1.0)
     k = np.arange(-80, 81, dtype=float)

@@ -132,8 +132,9 @@ def test_critical_scales_reproduce_escape_indicator(lat):
 
 @pytest.mark.parametrize(
     "lat",
-    [standard_lattice("A2"), standard_lattice("D8"), CONA_UNIT],
-    ids=["A2", "D8", "conA-8-4-5"],
+    [standard_lattice("A2"), standard_lattice("D5"), standard_lattice("D6"),
+     standard_lattice("D8"), CONA_UNIT],
+    ids=["A2", "D5", "D6", "D8", "conA-8-4-5"],
 )
 def test_critical_scales_match_the_ball_reference(lat):
     # reference: every nonzero lattice vector in the ball of twice the

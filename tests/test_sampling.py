@@ -130,6 +130,22 @@ def test_batch_sample_generic_second_moment():
     assert abs(n2.mean() - exact) <= 4 * se
 
 
+@pytest.mark.parametrize("lat,sigma", [
+    (standard_lattice("A2"), 0.5), (scale_lattice(standard_lattice("D4"), 1.3), 0.5),
+    (standard_lattice("E8"), 0.25), (scale_lattice(standard_lattice("Z3"), -0.7), 0.5),
+], ids=["A2", "1.3D4", "E8", "-0.7Z3"])
+def test_batch_sample_accepts_any_shift(lat, sigma):
+    # the same uniforms on the same coset draw the same points, wherever
+    # the shift sits in that coset
+    gen = np.random.default_rng(6)
+    t = gen.normal(size=(200, lat.n))
+    far = t + lat.embed(gen.integers(-4, 5, size=t.shape))
+    near_pts, _ = batch_coset_sample(lat, t, sigma, RngStream(16))
+    far_pts, far_coords = batch_coset_sample(lat, far, sigma, RngStream(16))
+    np.testing.assert_array_equal(far_pts, far + lat.embed(far_coords))
+    np.testing.assert_allclose(far_pts, near_pts, rtol=0, atol=1e-9)
+
+
 def test_batch_sample_rejects_wrong_width():
     with pytest.raises(InvalidParams):
         batch_coset_sample(Z, np.zeros((5, 2)), 1.0, RngStream(0))
