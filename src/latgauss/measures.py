@@ -16,13 +16,18 @@ conservative factor-two slack throughout. Sums are accumulated with exact
 (fsum) summation after factoring out the largest exponent, which keeps tiny
 masses meaningful and makes results independent of enumeration order.
 
-Batches of rows share one front door, padded_coset_support, behind
+Batches of rows share one front door, coset_blocks, behind
 batch_coset_stats here and sampling.batch_coset_sample. It accepts any
-shift, since the law depends only on the coset. It alone knows that scaled
-Z^n is a product of n laws on the line cZ and splits each row into n rows
-of cZ; it decodes every row to the Voronoi cell, and enumerates a single
-ball, certified by the same radius rule and padded by the covering bound,
-for all of them. The two consumers fold the working rows back per row.
+shift, since the law depends only on the coset, and decodes every row to
+the Voronoi cell. The closed-form families (Zn, Dn and E8, at any scale)
+then compute each row's law with a factorized kernel over a window of
+integers per coordinate: Z^n is a product of line laws, Dn a two-state
+parity recursion over the coordinates, and E8 = D8 u (D8 + 1/2) two such
+recursions combined by mass; each row's window is certified against that
+row's own coset mass. Generic lattices (padded_coset_support) enumerate a
+single ball, certified by the same radius rule as enumerate_masses and
+padded by the covering bound, for all rows. Both consumers read blocks of
+rows and never branch on the lattice.
 
 On top of that primitive: the zero-point probability mass, exact entropy via
 two independent routes (a mass/second-moment identity and a direct -sum p
@@ -34,6 +39,7 @@ AWGN-good ensemble); demo 03 prints both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,14 +165,20 @@ def _certified_radius(lat, rnorm2, sigma, rel_tol):
         log_target = math.log(rel_tol / 2)
         log_extra = 0.0
     else:
-        centered = enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol / 2)
         log_m0 = -rnorm2 / (2 * sigma**2)
-        log_rho_c = centered.log_raw_sum + math.log1p(rel_tol)
+        log_rho_c = _centred_log_sum(lat, sigma, rel_tol / 2) + math.log1p(rel_tol)
         log_target = math.log(rel_tol / 4) + log_m0 - log_rho_c
         log_extra = log_rho_c - log_m0
     t = _solve_tail_t(lat.n, log_target)
     tail = 2 * math.exp(min(lat.n * _tail_h(t) + log_extra, math.log(rel_tol / 2)))
     return sigma * math.sqrt(2 * lat.n * t), tail
+
+
+@functools.lru_cache(maxsize=4)
+def _centred_log_sum(lat, sigma, rel_tol):
+    """log_raw_sum of the centred law, enumerated once per (lattice, sigma,
+    rel_tol) however many shifted laws need it (lattices hash by identity)."""
+    return enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol).log_raw_sum
 
 
 def enumerate_masses(lat: Lattice, shift, sigma, rel_tol=1e-9) -> DiscreteGaussianSpec:
@@ -318,76 +330,234 @@ def flatness_factor(lat: Lattice, sigma, samples=512, seed=0) -> FlatnessBracket
     return FlatnessBracket(lower=lower, upper=upper, samples=samples)
 
 
-_ROW_CHUNK = 256  # rows per distance block
+_BLOCK_ENTRIES = 1 << 23  # working entries per block, on either path
+_ROW_CHUNK = 256  # rows per distance block of the padded support
+
+# The closed-form families as cosets of Z^n: the line offsets of their
+# half-cosets and the parities of sum(k) each admits, as (even, odd)
+# weights. Dn is the even half of Z^n, and E8 is D8 together with
+# D8 + 1/2 (Conway & Sloane, SPLAG ch. 4).
+_FAMILY_COSETS = {
+    "Zn": ((0.0,), (1.0, 1.0)),
+    "Dn": ((0.0,), (1.0, 0.0)),
+    "E8": ((0.0, 0.5), (1.0, 0.0)),
+}
 
 
-def padded_coset_support(lat: Lattice, shifts, sigma, rel_tol):
+def coset_blocks(lat: Lattice, shifts, sigma, rel_tol):
     """The one front door for batch coset rows: D_{Lambda+t,sigma} per row t.
 
-    Any shift is accepted, as the law depends only on t mod Lambda. Scaled
-    Z^n (n > 1) is split first: its coset law is the product of the n laws
-    D_{cZ+t_j,sigma}, so each row becomes n rows of the line cZ, each
-    certified to rel_tol / n. Every working row is decoded to its anchor and
-    reduced to the Voronoi cell, so its norm is at most mu = covering_bound;
-    the ball certified for a shift of norm mu (as in enumerate_masses),
-    padded by mu, then keeps each row's truncation below rel_tol.
-
-    Returns (anchors, coords, chunks): the working rows' decoded
-    coordinates (n rows per row on scaled Z^n), the support's integer
-    coordinates, and an iterator of (a, b, d2) over working rows a:b (near
-    8M entries of d2 at most), d2[i, j] = ||r_{a+i} + x_j||^2 for reduced
-    rows r and support points x.
+    Any shift is accepted, as the law depends only on t mod Lambda: every
+    row is decoded to its anchor and reduced to the Voronoi cell. The Zn,
+    Dn and E8 families then run the factorized kernel (_kernel_blocks);
+    every other lattice shares one padded support (padded_coset_support).
+    Returns an iterator of blocks over consecutive rows. A block's stats()
+    gives the rows' (mass, power, tail), the tail being the certified
+    neglected share of each row's coset mass, at most rel_tol; its
+    draw(gen) gives one draw per row as integer coordinates X - t.
     """
     _check_sigma(sigma)
     shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
     if shifts.shape[1] != lat.n:
         raise InvalidParams(f"shift width {shifts.shape[1]} does not match "
                             f"the lattice dimension {lat.n}")
-    chunk = _ROW_CHUNK
-    if lat.family is not None and lat.family[0] == "Zn" and lat.n > 1:
-        rel_tol, chunk = rel_tol / lat.n, chunk * lat.n
-        lat = scale_lattice(standard_lattice("Z"), lat.basis[0, 0])
-        shifts = shifts.reshape(-1, 1)
     anchors = decode_batch(lat, shifts)
     rows = shifts - lat.embed(anchors)
-    mu = lat.covering_bound
-    radius = _certified_radius(lat, mu**2, sigma, rel_tol)[0] + mu
-    scoords, spts = enumerate_coset(lat, np.zeros(lat.n), radius)
-    sn2 = (spts**2).sum(axis=1)
-    chunk = max(1, min(chunk, (1 << 23) // max(1, len(sn2))))
-
-    def chunks():
-        for a in range(0, rows.shape[0], chunk):
-            b = min(a + chunk, rows.shape[0])
-            r = rows[a:b]
-            rn2 = (r**2).sum(axis=1)[:, None]
-            yield a, b, sn2[None, :] + 2.0 * (r @ spts.T) + rn2
-
-    return anchors, scoords, chunks()
+    if lat.family is None:
+        return padded_coset_support(lat, anchors, rows, sigma, rel_tol)
+    return _kernel_blocks(lat, anchors, rows, sigma, rel_tol)
 
 
-def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9):
-    """Per-row coset mass and exact conditional second moment.
+def padded_coset_support(lat: Lattice, anchors, rows, sigma, rel_tol):
+    """Blocks of reduced rows against one shared support, any lattice.
 
-    For each row t of `shifts` (any shift) returns f_sigma(Lambda + t) and
-    E[||X||^2] for X ~ D_{Lambda+t,sigma}, over padded_coset_support. Where
-    that splits a row into several, the mass is their product and the
-    power their sum.
+    Each row's norm is at most mu = covering_bound; the ball certified for
+    a shift of norm mu (as in enumerate_masses), padded by mu, then keeps
+    each row's truncation below rel_tol. Blocks hold at most 256 rows and
+    near 8M squared distances.
     """
-    anchors, _, chunks = padded_coset_support(lat, shifts, sigma, rel_tol)
-    split = lat.n // anchors.shape[1]  # working rows per row of shifts
-    mass = np.empty(anchors.shape[0])
-    power = np.empty(anchors.shape[0])
-    norm = (2 * math.pi * sigma**2) ** (anchors.shape[1] / 2)
-    for a, b, d2 in chunks:
-        e = -d2 / (2 * sigma**2)
+    mu = lat.covering_bound
+    radius, tail = _certified_radius(lat, mu**2, sigma, rel_tol)
+    scoords, spts = enumerate_coset(lat, np.zeros(lat.n), radius + mu)
+    sn2 = (spts**2).sum(axis=1)
+    chunk = max(1, min(_ROW_CHUNK, _BLOCK_ENTRIES // max(1, len(sn2))))
+    for a in range(0, max(rows.shape[0], 1), chunk):
+        r = rows[a:a + chunk]
+        d2 = sn2[None, :] + 2.0 * (r @ spts.T) + (r**2).sum(axis=1)[:, None]
+        yield _SupportBlock(d2, scoords, anchors[a:a + chunk], sigma, tail)
+
+
+class _SupportBlock:
+    """Rows of a generic lattice: d2[i, j] = ||r_i + x_j||^2 for reduced
+    rows r and the support points x, whose coordinates are scoords."""
+
+    def __init__(self, d2, scoords, anchors, sigma, tail):
+        self.d2, self.scoords, self.anchors = d2, scoords, anchors
+        self.sigma, self.tail = sigma, tail
+
+    def stats(self):
+        e = -self.d2 / (2 * self.sigma**2)
         emax = e.max(axis=1, keepdims=True)
         w = np.exp(e - emax)
         tot = w.sum(axis=1)
-        mass[a:b] = np.exp(emax[:, 0]) * tot / norm
-        power[a:b] = (w * d2).sum(axis=1) / tot
-    return {"mass": mass.reshape(-1, split).prod(axis=1),
-            "power": power.reshape(-1, split).sum(axis=1)}
+        norm = (2 * math.pi * self.sigma**2) ** (self.anchors.shape[1] / 2)
+        return (np.exp(emax[:, 0]) * tot / norm, (w * self.d2).sum(axis=1) / tot,
+                np.full(tot.shape, self.tail))
+
+    def draw(self, gen):
+        u = gen.random(self.d2.shape[0])
+        e = np.exp(-(self.d2 - self.d2.min(axis=1, keepdims=True)) / (2 * self.sigma**2))
+        cs = np.cumsum(e, axis=1)
+        idx = (cs < (u * cs[:, -1])[:, None]).sum(axis=1)
+        return self.scoords[idx] - self.anchors
+
+
+def _log_mix(la, lb):
+    """(log(e^la + e^lb), share of e^la), for la finite and lb finite or -inf."""
+    total = np.maximum(la, lb) + np.log1p(np.exp(-np.abs(la - lb)))
+    return total, np.exp(la - total)
+
+
+def _kernel_blocks(lat, anchors, rows, sigma, rel_tol):
+    """Blocks of reduced rows of a Zn, Dn or E8 lattice, law by law.
+
+    Lambda = s F, and F is a union of half-cosets h + {k in Z^n : parity of
+    sum(k) admitted}. On half h, coordinate i of the coset point is
+    s (j + delta_i) over the integers j of a window [-W, W] around the
+    nearest one, with |delta_i| <= 1/2. Per coordinate the window's
+    weights exp(-(x^2 - (s delta_i)^2) / 2 sigma^2) are summed by the parity
+    of k, with their second moments, and a two-state recursion over the
+    coordinates combines them; every term is positive, so no difference of
+    products loses digits near a deep hole. The neglected share is bounded
+    coordinate by coordinate by geometric tails, times the whole line sums
+    of the other coordinates with the parity constraint dropped, and taken
+    relative to the weight of the row's nearest coset point r, a lower bound
+    on its coset mass. W grows until every row of a block certifies.
+    """
+    halves, accept = _FAMILY_COSETS[lat.family[0]]
+    s = lat.family[1]
+    m, n = rows.shape
+    y = rows.T[:, :, None] / s + np.asarray(halves)  # (n, m, H)
+    centre = np.rint(y)
+    delta = y - centre
+    # log of (half h's largest weight) / (the nearest coset point's weight)
+    gap = ((rows**2).sum(axis=1)[:, None] - s * s * (delta**2).sum(axis=0)) / (2 * sigma**2)
+    # a first guess from the worst gap and a typical line sum; checked below
+    log_need = (math.log(2 * n * len(halves) / rel_tol) + float(gap.max(initial=0.0))
+                + n * math.log1p(math.sqrt(2 * math.pi) * sigma / s))
+    width = max(1, math.ceil(math.sqrt(2 * log_need * (sigma / s) ** 2 + 0.25) - 0.5))
+    chunk = max(1, _BLOCK_ENTRIES // (len(halves) * n * (2 * width + 1)))
+    for a in range(0, max(m, 1), chunk):
+        while True:
+            block = _KernelBlock(lat, anchors[a:a + chunk], halves, accept,
+                                 centre[:, a:a + chunk], delta[:, a:a + chunk],
+                                 gap[a:a + chunk], width, sigma)
+            if np.all(block.tail <= rel_tol):
+                break
+            width += 1
+        yield block
+
+
+class _KernelBlock:
+    """Rows of a Zn, Dn or E8 lattice: their laws on the window, with the
+    arrays (n, rows, H, ...) per coordinate, row and half-coset.
+
+    Parity laws are kept as logarithms: near a deep hole of a coarse
+    lattice the admitted parity can carry less than 1e-308 of the other.
+    Second moments are kept as conditional means, mixed by those shares.
+    """
+
+    def __init__(self, lat, anchors, halves, accept, centre, delta, gap, width, sigma):
+        s = lat.family[1]
+        c = s * s / (2 * sigma**2)
+        j = np.arange(-width, width + 1)
+        x2 = (s * (j + delta[..., None])) ** 2
+        a = -c * j * (j + 2 * delta[..., None])  # log weights, 0 at the window's centre
+        k0 = -width - centre  # index 0 of the window is j = -width, k = j - centre
+        odd0 = k0.astype(np.int64) & 1
+        log_sum, mean2 = [], []
+        for t in (0, 1):  # window indices of one parity, so k of one parity
+            # the largest log weight of the class: 0 at j = 0, else at j = +-1
+            top = np.zeros_like(delta) if (t - width) % 2 == 0 else -c * (1 - 2 * np.abs(delta))
+            w = np.exp(a[..., t::2] - top[..., None])
+            tot = w.sum(axis=-1)
+            log_sum.append(top + np.log(tot))
+            mean2.append((w * x2[..., t::2]).sum(axis=-1) / tot)
+        # (n, rows, H) by the parity of k: log line sums and conditional x^2
+        le, lo = np.where(odd0, log_sum[1], log_sum[0]), np.where(odd0, log_sum[0], log_sum[1])
+        me, mo = np.where(odd0, mean2[1], mean2[0]), np.where(odd0, mean2[0], mean2[1])
+        lp = np.stack([np.zeros_like(le[0]), np.full_like(le[0], -np.inf)])
+        pw = np.zeros_like(lp)  # E[sum x^2] of the coordinates so far, by parity
+        prefix = np.empty((le.shape[0],) + lp.shape)
+        for i in range(le.shape[0]):
+            prefix[i] = lp
+            l0, s0 = _log_mix(lp[0] + le[i], lp[1] + lo[i])
+            l1, s1 = _log_mix(lp[0] + lo[i], lp[1] + le[i])
+            pw = np.stack([s0 * (pw[0] + me[i]) + (1 - s0) * (pw[1] + mo[i]),
+                           s1 * (pw[0] + mo[i]) + (1 - s1) * (pw[1] + me[i])])
+            lp = np.stack([l0, l1])
+        with np.errstate(divide="ignore"):
+            log_accept = np.log(accept)
+        log_half, share = _log_mix(lp[0] + log_accept[0], lp[1] + log_accept[1])
+        log_half = log_half - c * (delta**2).sum(axis=0)  # with each half's largest weight
+        raw = np.logaddexp.reduce(log_half, axis=1)
+        power_half = share * pw[0] + (1 - share) * pw[1]
+        self.mass = np.exp(raw) / (2 * math.pi * sigma**2) ** (delta.shape[0] / 2)
+        self.power = (np.exp(log_half - raw[:, None]) * power_half).sum(axis=1)
+        # geometric tails beyond the window on each side, relative to its centre
+        tails = 0.0
+        for side in (1.0, -1.0):
+            edge = s * (width + 1 + side * delta)
+            tails = tails + np.exp(-(edge**2 - (s * delta) ** 2) / (2 * sigma**2)) / (
+                -np.expm1(-edge * s / sigma**2))
+        whole = np.exp(le) + np.exp(lo) + tails
+        with np.errstate(divide="ignore"):  # a tail below the smallest double
+            self.tail = np.exp(gap + np.log(whole).sum(axis=0)
+                               + np.log((tails / whole).sum(axis=0))).sum(axis=1)
+        self.lat, self.anchors, self.a, self.prefix = lat, anchors, a, prefix
+        self.start = k0 + np.asarray(halves)  # h + k at window index 0
+        self.odd0, self.log_half, self.log_accept = odd0, log_half, log_accept
+
+    def stats(self):
+        return self.mass, self.power, self.tail
+
+    def draw(self, gen):
+        """Backward through the recursion: one uniform per coordinate, after
+        one that picks the half-coset by its mass when there are two."""
+        n, rows, halves, width = self.a.shape
+        u = gen.random((rows, n + halves - 1))
+        idx = np.arange(rows)
+        lh = self.log_half
+        cs = np.cumsum(np.exp(lh - lh.max(axis=1, keepdims=True)), axis=1)
+        h = (cs[:, :-1] < u[:, :halves - 1] * cs[:, -1:]).sum(axis=1)
+        a, prefix, start, odd0 = (self.a[:, idx, h], self.prefix[:, :, idx, h],
+                                  self.start[:, idx, h], self.odd0[:, idx, h])
+        alt = np.arange(width) & 1
+        # log of the admitted (even, odd) parity of the coordinates up to i
+        need = np.repeat(self.log_accept[:, None], rows, axis=1)
+        v = np.empty((rows, n))
+        for i in range(n - 1, -1, -1):
+            odd = (odd0[i, :, None] + alt) & 1  # (rows, 2W+1) parity of each k
+            p = prefix[i]
+            by = (np.logaddexp(p[0] + need[0], p[1] + need[1]),  # admit an even k
+                  np.logaddexp(p[0] + need[1], p[1] + need[0]))  # admit an odd k
+            lw = a[i] + np.where(odd, by[1][:, None], by[0][:, None])
+            cs = np.cumsum(np.exp(lw - lw.max(axis=1, keepdims=True)), axis=1)
+            j = (cs < (u[:, halves - 1 + i] * cs[:, -1])[:, None]).sum(axis=1)
+            v[:, i] = start[i] + j
+            need = np.where(odd[idx, j] == 1, need[::-1], need)
+        return self.lat.coords_of(self.lat.family[1] * v) - self.anchors
+
+
+def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9):
+    """Per-row coset mass, exact conditional second moment and certified tail.
+
+    For each row t of `shifts` (any shift) returns f_sigma(Lambda + t),
+    E[||X||^2] for X ~ D_{Lambda+t,sigma} and the neglected share of the
+    coset mass (at most rel_tol), from the blocks of coset_blocks.
+    """
+    cols = zip(*(blk.stats() for blk in coset_blocks(lat, shifts, sigma, rel_tol)))
+    return dict(zip(("mass", "power", "tail"), map(np.concatenate, cols)))
 
 
 def effective_noise_pdf(lat: Lattice, params, w) -> float:

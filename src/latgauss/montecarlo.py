@@ -556,8 +556,7 @@ def effective_noise_tail_check(lat: Lattice, snr, trials, rng: RngStream) -> dic
 def tail_bounds_suite(trials=100_000, rng: RngStream = None) -> dict:
     """Both tail families on an n=8 and an n=16 lattice.
 
-    E8 is dilated so the discrete supports stay within the enumeration
-    budget; both bounds are dilation-invariant statements.
+    E8 is dilated by 4; both bounds are dilation-invariant statements.
     """
     if rng is None:
         rng = RngStream(DEFAULT_SEED)

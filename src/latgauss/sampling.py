@@ -26,7 +26,7 @@ from .lattices import (
     decode_batch,  # noqa: F401  unused; perfbench/test_run.py asserts this binding
     reduce_batch,
 )
-from .measures import DiscreteGaussianSpec, enumerate_masses, padded_coset_support
+from .measures import DiscreteGaussianSpec, coset_blocks, enumerate_masses
 from .rng import RngStream
 
 DEFAULT_TAIL = 1e-12
@@ -85,19 +85,12 @@ def batch_coset_sample(lat: Lattice, shifts, sigma, rng: RngStream):
     """One draw X_i ~ D_{Lambda+shifts_i, sigma} per row of shifts (any shift).
 
     Returns (points, coords) with points = shifts + embed(coords) exactly.
-    Every row draws from measures.padded_coset_support, one shared support
-    with a certified truncation of at most _BATCH_TAIL mass per row; one
-    uniform per working row (n per row on scaled Z^n) picks its point.
+    Every row draws from the blocks of measures.coset_blocks, with a
+    certified truncation of at most _BATCH_TAIL mass per row, by inverse
+    CDF on one stream of uniforms.
     """
     shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
-    anchors, scoords, chunks = padded_coset_support(lat, shifts, sigma, _BATCH_TAIL)
-    u = rng.generator().random(anchors.shape[0])
-    coords = np.empty(anchors.shape, dtype=np.int64)
-    for a, b, d2 in chunks:
-        e = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / (2 * sigma**2))
-        cs = np.cumsum(e, axis=1)
-        target = u[a:b] * cs[:, -1]
-        idx = (cs < target[:, None]).sum(axis=1)
-        coords[a:b] = scoords[idx] - anchors[a:b]
-    coords = coords.reshape(-1, lat.n)
+    gen = rng.generator()
+    coords = np.concatenate([blk.draw(gen) for blk in
+                             coset_blocks(lat, shifts, sigma, _BATCH_TAIL)])
     return shifts + lat.embed(coords), coords

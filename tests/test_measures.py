@@ -29,7 +29,7 @@ from latgauss.measures import (
     smoothing_parameter,
 )
 from latgauss.rng import RngStream
-from latgauss.sampling import discrete_gaussian
+from latgauss.sampling import batch_coset_sample, discrete_gaussian
 
 Z = standard_lattice("Z")
 
@@ -273,7 +273,8 @@ def test_batch_coset_stats_matches_scalar_mass():
             assert m == pytest.approx(enumerate_masses(lat, row, 0.9).mass, rel=1e-10)
 
 
-# (lattice, sigma); E8 at sigma 0.25 keeps its shared support near 60k points
+# (lattice, sigma): a generic lattice, which shares one padded support, and
+# three closed-form families, which run the factorized kernel
 UNREDUCED_CASES = [(standard_lattice("A2"), 0.5),
                    (scale_lattice(standard_lattice("D4"), 1.3), 0.5),
                    (standard_lattice("E8"), 0.25),
@@ -293,6 +294,7 @@ def test_batch_coset_stats_accepts_any_shift(lat, sigma):
     t, far = unreduced_rows(lat, 5)
     near = batch_coset_stats(lat, t, sigma)
     got = batch_coset_stats(lat, far, sigma)
+    assert np.all(got["tail"] <= 1e-9)
     np.testing.assert_allclose(got["mass"], near["mass"], rtol=1e-12)
     np.testing.assert_allclose(got["power"], near["power"], rtol=1e-12)
     want = [enumerate_masses(lat, row, sigma).mass for row in far]
@@ -307,6 +309,86 @@ def test_batch_coset_stats_power_oracle():
         w = np.exp(-x * x / 2)
         want = float((w * x * x).sum() / w.sum())
         assert power == pytest.approx(want, rel=1e-10)
+
+
+def test_kernel_matches_line_product_on_z16():
+    # Z^16 is the product of 16 laws on the line: the mass is the product of
+    # direct line sums and the power the sum of the line powers
+    z16 = standard_lattice("Z16")
+    t = np.random.default_rng(7).normal(size=(6, 16)) * 2
+    got = batch_coset_stats(z16, t, 1.0, rel_tol=1e-13)
+    k = np.arange(-80, 81, dtype=float)
+    for row, mass, power in zip(t, got["mass"], got["power"]):
+        x = k[None, :] + row[:, None]
+        w = np.exp(-x * x / 2)
+        lines = w.sum(axis=1)
+        assert mass == pytest.approx(np.prod(lines) / (2 * math.pi) ** 8, rel=1e-12)
+        assert power == pytest.approx(((w * x * x).sum(axis=1) / lines).sum(), rel=1e-12)
+    assert np.all(got["tail"] <= 1e-13)
+
+
+def family_rows(lat, seed):
+    """Random shifts, then the deep holes: (-0.999 c, 0, ..., 0) and c/2 * 1."""
+    c = lat.family[1]
+    deep = np.zeros((2, lat.n))
+    deep[0, 0] = -0.999 * c
+    deep[1] = c / 2
+    return np.vstack([np.random.default_rng(seed).normal(size=(4, lat.n)) * c, deep])
+
+
+@pytest.mark.parametrize("lat,sigma", [
+    (standard_lattice("E8"), 0.4),
+    *((scale_lattice(standard_lattice("D8"), c), 1.0) for c in (4.0, 6.0, 8.0)),
+], ids=["E8", "4D8", "6D8", "8D8"])
+def test_kernel_matches_the_enumerated_law(lat, sigma):
+    # near 8 D8's (-0.999 c, 0, ..., 0) the even coset is 2e-13 of the odd
+    # one, where a parity identity of the form (prod(e + o) + prod(e - o)) / 2
+    # would cancel to 2.8e-4
+    rows = family_rows(lat, 8)
+    got = batch_coset_stats(lat, rows, sigma, rel_tol=1e-13)
+    assert np.all(got["tail"] <= 1e-13)
+    for row, mass, power in zip(rows, got["mass"], got["power"]):
+        law = enumerate_masses(lat, row, sigma, 1e-13)
+        assert mass == pytest.approx(law.mass, rel=1e-12)
+        assert power == pytest.approx(law.power, rel=1e-12)
+        entropy = math.log(mass * (2 * math.pi * sigma**2) ** (lat.n / 2)) + power / (2 * sigma**2)
+        assert entropy == pytest.approx(law.entropy, rel=1e-12, abs=1e-12)
+
+
+def test_kernel_keeps_the_power_where_the_mass_underflows():
+    # 8 D8 at sigma 0.1: near (-0.999 c, 0, ..., 0) the even coset carries
+    # about exp(-3200) of the odd one, beyond the range of a double
+    lat = scale_lattice(standard_lattice("D8"), 8.0)
+    rows = family_rows(lat, 8)
+    got = batch_coset_stats(lat, rows, 0.1, rel_tol=1e-13)
+    for row, power in zip(rows, got["power"]):
+        assert power == pytest.approx(enumerate_masses(lat, row, 0.1, 1e-13).power, rel=1e-12)
+    pts, coords = batch_coset_sample(lat, rows, 0.1, RngStream(3))
+    np.testing.assert_array_equal(pts, rows + lat.embed(coords))
+
+
+@pytest.mark.parametrize("lat", [standard_lattice("Z16"),
+                                 scale_lattice(standard_lattice("D8"), 4.0),
+                                 standard_lattice("E8"),
+                                 scale_lattice(standard_lattice("Z3"), -0.7)],
+                         ids=["Z16", "4D8", "E8", "-0.7Z3"])
+def test_families_never_enumerate(lat, monkeypatch):
+    # the closed-form families run the kernel alone; only a generic lattice
+    # reaches the enumerated support
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_coset called")
+
+    monkeypatch.setattr("latgauss.measures.enumerate_coset", refuse)
+    rows = np.random.default_rng(9).normal(size=(50, lat.n))
+    got = batch_coset_stats(lat, rows, 1.0)
+    assert np.all(got["tail"] <= 1e-9) and np.all(got["mass"] > 0)
+    pts, coords = batch_coset_sample(lat, rows, 1.0, RngStream(9))
+    np.testing.assert_array_equal(pts, rows + lat.embed(coords))
+    a2 = standard_lattice("A2")
+    with pytest.raises(AssertionError, match="enumerate_coset"):
+        batch_coset_stats(a2, rows[:, :2], 1.0)
+    with pytest.raises(AssertionError, match="enumerate_coset"):
+        batch_coset_sample(a2, rows[:, :2], 1.0, RngStream(9))
 
 
 def test_effective_noise_pdf_matches_brute():

@@ -132,8 +132,9 @@ def test_batch_sample_generic_second_moment():
 
 @pytest.mark.parametrize("lat,sigma", [
     (standard_lattice("A2"), 0.5), (scale_lattice(standard_lattice("D4"), 1.3), 0.5),
-    (standard_lattice("E8"), 0.25), (scale_lattice(standard_lattice("Z3"), -0.7), 0.5),
-], ids=["A2", "1.3D4", "E8", "-0.7Z3"])
+    (standard_lattice("E8"), 0.25), (standard_lattice("E8"), 0.5),
+    (scale_lattice(standard_lattice("Z3"), -0.7), 0.5),
+], ids=["A2", "1.3D4", "E8", "E8-0.5", "-0.7Z3"])
 def test_batch_sample_accepts_any_shift(lat, sigma):
     # the same uniforms on the same coset draw the same points, wherever
     # the shift sits in that coset
@@ -151,3 +152,42 @@ def test_batch_sample_rejects_wrong_width():
         batch_coset_sample(Z, np.zeros((5, 2)), 1.0, RngStream(0))
     with pytest.raises(InvalidParams):
         batch_coset_stats(standard_lattice("Z4"), np.zeros((5, 3)), 1.0)
+
+
+def pooled_chi_square_p(spec, coords):
+    """Chi-square p-value of drawn coordinates against the spec's masses.
+
+    The support is sorted by decreasing mass, with one more bin for draws
+    outside it. Bins are pooled from the tail up into runs of at least 5
+    expected draws each, so that every pooled bin has at least 5.
+    """
+    from scipy import stats
+
+    key_of = {tuple(k): i for i, k in enumerate(map(tuple, spec.coords))}
+    counts = np.zeros(len(spec.probs) + 1)
+    for row in map(tuple, coords):
+        counts[key_of.get(row, len(spec.probs))] += 1
+    expected = np.append(spec.probs * len(coords), 0.0)
+    obs, exp = [], []
+    run_o = run_e = 0.0
+    for o, e in zip(counts[::-1], expected[::-1]):
+        run_o, run_e = run_o + o, run_e + e
+        if run_e >= 5.0:
+            obs.append(run_o)
+            exp.append(run_e)
+            run_o = run_e = 0.0
+    obs[-1] += run_o  # a short run left at the head joins its neighbour
+    exp[-1] += run_e
+    obs, exp = np.asarray(obs), np.asarray(exp)
+    return float(stats.chisquare(obs, exp * (obs.sum() / exp.sum())).pvalue)
+
+
+@pytest.mark.parametrize("lat,shift,sigma", [
+    (scale_lattice(standard_lattice("D4"), 2.0), [0.3, -0.7, 0.55, 1.9], 1.0),
+    (standard_lattice("E8"), [0.41, -0.2, 0.05, 0.3, -0.33, 0.12, 0.6, -0.08], 0.4),
+], ids=["2D4", "E8"])
+def test_kernel_draws_follow_the_enumerated_law(lat, shift, sigma):
+    shift = np.asarray(shift)
+    _, coords = batch_coset_sample(lat, np.tile(shift, (100_000, 1)), sigma, RngStream(17))
+    p = pooled_chi_square_p(discrete_gaussian(lat, shift, sigma), coords)
+    assert p > 0.001
