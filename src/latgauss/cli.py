@@ -594,8 +594,8 @@ def build_parser():
                    help="fix the lattice scale directly, skipping the "
                         "Monte Carlo inversion of the error curve")
     p.add_argument("--inv-trials", type=int, default=200_000,
-                   help="samples per rung for the error-curve inversion "
-                        "(default 200000)")
+                   help="samples in the first rung of the error-curve "
+                        "inversion (default 200000)")
     p.add_argument("--csv", metavar="FILE",
                    help="also write a per-trial CSV (columns: trial index, "
                         "error indicator)")
@@ -621,8 +621,8 @@ def build_parser():
     p.add_argument("--trials", type=int, default=20_000,
                    help="transmissions per grid point (default 20000)")
     p.add_argument("--inv-trials", type=int, default=200_000,
-                   help="samples per rung for the error-curve inversion "
-                        "(default 200000)")
+                   help="samples in the first rung of the error-curve "
+                        "inversion (default 200000)")
     p.add_argument("--csv", metavar="FILE",
                    help="write the table here instead of stdout")
     p.set_defaults(func=cmd_sweep)
@@ -678,8 +678,8 @@ def build_parser():
     p.add_argument("--lattices", type=_str_list,
                    help="comma-separated lattice specs for sandwich reports")
     p.add_argument("--inv-trials", type=int, default=400_000,
-                   help="samples per rung for the error-curve inversion "
-                        "(default 400000)")
+                   help="samples in the first rung of the error-curve "
+                        "inversion (default 400000)")
     p.add_argument("--csv", metavar="FILE",
                    help="write the table here instead of stdout")
     p.set_defaults(func=cmd_analyze)

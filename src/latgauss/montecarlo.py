@@ -185,11 +185,16 @@ def inverse_error_function(lat: Lattice, eps, trials=200_000, tol=1e-3,
     Each noise draw has a critical scale below which it escapes, so the
     target is the (1-eps) quantile of the critical-scale distribution. The
     estimate is the empirical quantile with a distribution-free
-    order-statistic 99% interval; the sample is grown (x4, capped at 1024x
-    the initial budget) until the interval is relatively narrower than
-    tol. If the cap cannot separate that well, raises ResolutionExceeded
-    rather than guessing. For scaled Z^n the closed form must agree within
-    5*tol.
+    order-statistic 99% interval. The first rung draws `trials` rows; each
+    later rung keeps every row drawn so far and adds rows under fresh child
+    streams (rung * 4096 + chunk) until the sample reaches the size the
+    current interval [lo, hi] predicts: its width shrinks as 1/sqrt(n), so
+    n ((hi - lo) / (tol q))^2 * 1.1 rows, at least one more and at most
+    max_trials (default 1024x trials). While the interval is not yet
+    defined the sample grows x4. The sample stops growing once the
+    interval is relatively narrower than tol. If the cap cannot separate
+    that well, raises ResolutionExceeded, naming the width reached, rather
+    than guessing. For scaled Z^n the closed form must agree within 5*tol.
     """
     if not (0 < eps <= 0.5):
         raise InvalidParams("eps must be in (0, 0.5]")
@@ -197,12 +202,13 @@ def inverse_error_function(lat: Lattice, eps, trials=200_000, tol=1e-3,
         rng = RngStream(DEFAULT_SEED)
     if max_trials is None:
         max_trials = trials * 1024
+    s = np.empty(0)
     n = trials
     rung = 0
     chunk = 1 << 20
     while True:
-        s = np.empty(n)
-        done = 0
+        done = s.size
+        s = np.concatenate([s, np.empty(n - done)])
         ci = 0
         while done < n:
             m = min(chunk, n - done)
@@ -212,10 +218,12 @@ def inverse_error_function(lat: Lattice, eps, trials=200_000, tol=1e-3,
             ci += 1
         k = math.ceil((1.0 - eps) * n)
         d = math.ceil(Z99 * math.sqrt(n * eps * (1.0 - eps))) + 1
+        width = math.inf
         if k - d >= 1 and k + d <= n:
             idx = [k - d - 1, k - 1, k + d - 1]
             part = np.partition(s, idx)
             lo, q, hi = part[idx[0]], part[idx[1]], part[idx[2]]
+            width = (hi - lo) / q
             if hi - lo <= tol * q:
                 if lat.family is not None and lat.family[0] == "Zn":
                     closed = zn_err_inv(lat.n, eps, lat.family[1])
@@ -224,11 +232,18 @@ def inverse_error_function(lat: Lattice, eps, trials=200_000, tol=1e-3,
                             f"quantile {q} vs closed form {closed} for scaled Z^n"
                         )
                 return float(q)
+        undefined = math.isinf(width)
+        need = 4 * n if undefined else math.ceil(n * (width / tol) ** 2 * 1.1)
         if n >= max_trials:
+            hint = ("too few rows for the interval" if undefined
+                    else f"about {need:.2g} rows would reach tol")
             raise ResolutionExceeded(
-                "order-statistic interval cannot reach tol at the trial cap"
+                f"order-statistic interval cannot reach tol at the trial cap: "
+                f"dimension {lat.n}, eps {eps}, tol {tol}, {n} rows drawn "
+                f"(max_trials), relative width (hi - lo)/q {width:.3g}; {hint}: "
+                f"raise max_trials or tol"
             )
-        n = min(4 * n, max_trials)
+        n = min(max(need, n + 1), max_trials)
         rung += 1
 
 
@@ -496,18 +511,32 @@ def discrete_sampling_suite(coarse: Lattice, fine: Lattice, sigma, trials,
     for row in map(tuple, cf):
         counts[key_of.get(row, len(spec.probs))] += 1
     expected = np.append(spec.probs * trials, 0.0)
-    # support is mass-sorted descending: pool the tail until every bin >= 5
-    obs = list(counts)
-    exp = list(expected)
-    while len(exp) > 2 and exp[-1] < 5.0:
-        tail_e = exp.pop()
-        exp[-1] += tail_e
-        tail_o = obs.pop()
-        obs[-1] += tail_o
-    obs = np.asarray(obs)
-    exp = np.asarray(exp)
+    obs, exp = _pool_from_tail(counts, expected)
     pval = float(stats.chisquare(obs, exp * (obs.sum() / exp.sum())).pvalue)
     return {"p_value": pval, "bins": len(exp), "pass": pval > 0.001}
+
+
+def _pool_from_tail(counts, expected):
+    """Pool bins from the last one up into runs of at least 5 expected.
+
+    The bins are in decreasing-mass order (the overflow bin last), so every
+    run closes as soon as it expects 5 draws; a short run left at the head
+    joins its neighbour. Returns the pooled (observed, expected) arrays.
+    """
+    obs, exp = [], []
+    run_o = run_e = 0.0
+    for o, e in zip(counts[::-1], expected[::-1]):
+        run_o, run_e = run_o + o, run_e + e
+        if run_e >= 5.0:
+            obs.append(run_o)
+            exp.append(run_e)
+            run_o = run_e = 0.0
+    if exp:
+        obs[-1] += run_o
+        exp[-1] += run_e
+    else:
+        obs, exp = [run_o], [run_e]
+    return np.asarray(obs), np.asarray(exp)
 
 
 def peak_tail_check(lat: Lattice, sigma_s, trials, rng: RngStream) -> dict:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import latgauss.montecarlo as montecarlo
 from latgauss.codec import channel_params, codec_config
 from latgauss.errors import InvalidParams, ResolutionExceeded
 from latgauss.lattices import (
@@ -34,6 +35,7 @@ from latgauss.montecarlo import (
     theorem1_suite,
     transmission_experiment,
     zn_err_inv,
+    Z99,
     _critical_scales,
 )
 from latgauss.rng import RngStream
@@ -159,9 +161,61 @@ def test_inverse_error_function_guards():
         inverse_error_function(Z, 0.7)
     with pytest.raises(InvalidParams):
         inverse_error_function(Z, 0.0)
-    with pytest.raises(ResolutionExceeded):
+    with pytest.raises(ResolutionExceeded) as err:
         inverse_error_function(Z, 0.05, trials=2000, tol=1e-7,
                                rng=RngStream(1), max_trials=2000)
+    # the message names what to change: the width reached at the cap
+    s = np.sort(_critical_scales(Z, sample_normal(1.0, 1, RngStream(1).child(0),
+                                                  trials=2000)))
+    k = math.ceil(0.95 * 2000)
+    d = math.ceil(Z99 * math.sqrt(2000 * 0.05 * 0.95)) + 1
+    width = (s[k + d - 1] - s[k - d - 1]) / s[k - 1]
+    for part in ("dimension 1", "eps 0.05", "tol 1e-07", "2000 rows drawn",
+                 f"relative width (hi - lo)/q {width:.3g}"):
+        assert part in str(err.value)
+
+
+def _record_draws(monkeypatch, lat):
+    # every sample_normal call of the inversion: (stream id, rows, scales)
+    calls = []
+
+    def spy(sigma, n, rng, trials):
+        z = sample_normal(sigma, n, rng, trials=trials)
+        calls.append((rng.stream_id, trials, _critical_scales(lat, z)))
+        return z
+
+    monkeypatch.setattr(montecarlo, "sample_normal", spy)
+    return calls
+
+
+def test_inverse_error_function_ladder_keeps_every_row(monkeypatch):
+    # 100 rows leave the 99% interval undefined, so rung 1 grows x4; later
+    # rungs are sized from the interval. No row is drawn twice, and the
+    # estimate is the order statistic of every row drawn.
+    lat = standard_lattice("E8")
+    rng = RngStream(61)
+    calls = _record_draws(monkeypatch, lat)
+    got = inverse_error_function(lat, 0.05, trials=100, tol=1e-2, rng=rng)
+    ids = [c[0] for c in calls]
+    assert len(set(ids)) == len(ids)
+    assert calls[0][:2] == (rng.child(0).stream_id, 100)
+    assert calls[1][:2] == (rng.child(4096).stream_id, 300)
+    rungs = {rng.child(r * 4096 + c).stream_id for r in range(8) for c in range(4)}
+    assert set(ids) <= rungs and len(calls) > 2
+    s = np.concatenate([c[2] for c in calls])
+    n = sum(c[1] for c in calls)
+    assert s.size == n
+    k = math.ceil(0.95 * n)
+    assert got == np.partition(s, k - 1)[k - 1]
+
+
+def test_inverse_error_function_sizes_one_rung_on_e8(monkeypatch):
+    # rung 0 predicts about 5.5M rows, and one sized rung reaches tol
+    calls = _record_draws(monkeypatch, standard_lattice("E8"))
+    got = inverse_error_function(standard_lattice("E8"), 0.05, trials=200_000,
+                                 rng=RngStream(1))
+    assert sum(c[1] for c in calls) <= 7_000_000
+    assert got == pytest.approx(4.7625, rel=2e-3)
 
 
 @pytest.mark.parametrize(
@@ -214,6 +268,28 @@ def test_discrete_sampling_composition():
     assert got["pass"]
     assert got["p_value"] > 0.001
     assert got["bins"] >= 2
+
+
+def test_discrete_sampling_pools_every_bin_to_five(monkeypatch):
+    # criterion 2's (Z^2, Z^2/2) case: most of its support expects under 5
+    # draws, and the chi-square holds only if every pooled bin expects 5
+    pooled = []
+
+    def spy(counts, expected):
+        out = pool(counts, expected)
+        pooled.append((out, expected))
+        return out
+
+    pool = montecarlo._pool_from_tail
+    monkeypatch.setattr(montecarlo, "_pool_from_tail", spy)
+    z2 = standard_lattice("Z2")
+    got = discrete_sampling_suite(z2, scale_lattice(z2, 0.5), 2.0, 100_000,
+                                  RngStream(92))
+    (obs, exp), expected = pooled[0]
+    assert (expected < 5).sum() > 100
+    assert exp.min() >= 5.0
+    assert exp.sum() == pytest.approx(expected.sum(), rel=1e-12)
+    assert obs.sum() == 100_000 and got["bins"] == exp.size
 
 
 def test_dither_audit_profile_matches_measures():
