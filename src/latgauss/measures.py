@@ -17,23 +17,25 @@ conservative factor-two slack throughout. Sums are accumulated with exact
 masses meaningful and makes results independent of enumeration order.
 
 Batches of rows share one front door, coset_blocks, behind
-batch_coset_stats here and sampling.batch_coset_sample. It accepts any
-shift, since the law depends only on the coset, and decodes every row to
-the Voronoi cell. The closed-form families (Zn, Dn and E8, at any scale)
-then compute each row's law with a factorized kernel over a window of
-integers per coordinate: Z^n is a product of line laws, Dn a two-state
-parity recursion over the coordinates, and E8 = D8 u (D8 + 1/2) two such
-recursions combined by mass; each row's window is certified against that
-row's own coset mass. Generic lattices (padded_coset_support) enumerate a
-single ball, certified by the same radius rule as enumerate_masses and
-padded by the covering bound, for all rows. Both consumers read blocks of
-rows and never branch on the lattice.
+batch_coset_stats here, sampling.batch_coset_sample and the montecarlo
+dither audits. It accepts any shift, since the law depends only on the
+coset, and decodes every row to the Voronoi cell. The closed-form families
+(Zn, Dn and E8, at any scale) then compute each row's law with a factorized
+kernel over a window of integers per coordinate: Z^n is a product of line
+laws, Dn a two-state parity recursion over the coordinates, and E8 = D8 u
+(D8 + 1/2) two such recursions combined by mass; each row's window is
+certified against that row's own coset mass. Generic lattices
+(padded_coset_support) enumerate a single ball, certified by the same
+radius rule as enumerate_masses and padded by the covering bound, for all
+rows. Every consumer reads blocks of rows and never branches on the
+lattice.
 
-On top of that primitive: the zero-point probability mass, exact entropy via
-two independent routes (a mass/second-moment identity and a direct -sum p
-log p), the smoothing parameter, and flatness-factor brackets. Two more back
-the paper's argument: the folded effective-noise density of the MMSE-scaled
-channel, and a Siegel-style mean of f_sigma over random mod-p lattices (the
+On top of that primitive: the zero-point probability mass, exact entropy
+via two independent routes (coset_entropy's mass/second-moment identity,
+which blocks and specs share, and a direct -sum p log p), the smoothing
+parameter, and flatness-factor brackets. Two more back the paper's
+argument: the folded effective-noise density of the MMSE-scaled channel,
+and a Siegel-style mean of f_sigma over random mod-p lattices (the
 AWGN-good ensemble); demo 03 prints both.
 """
 
@@ -93,8 +95,8 @@ class DiscreteGaussianSpec:
 
     @property
     def entropy(self) -> float:
-        """Entropy in nats: log raw mass plus half the relative second moment."""
-        return self.log_raw_sum + self.power / (2 * self.sigma**2)
+        """Entropy in nats, by coset_entropy."""
+        return float(coset_entropy(self.mass, self.power, self.sigma, self.lattice.n))
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,11 @@ class SmoothingResult:
     s: float
     eps: float
     residual: float  # |g(s) - eps|
+
+
+def coset_entropy(mass, power, sigma, n):
+    """Entropy (nats) of D_{Lambda+t,sigma}: log raw mass + power / 2 sigma^2."""
+    return np.log(mass) + (n / 2) * math.log(2 * math.pi * sigma**2) + power / (2 * sigma**2)
 
 
 def _tail_h(t):
@@ -354,7 +361,7 @@ def coset_blocks(lat: Lattice, shifts, sigma, rel_tol):
     Returns an iterator of blocks over consecutive rows. A block's stats()
     gives the rows' (mass, power, tail), the tail being the certified
     neglected share of each row's coset mass, at most rel_tol; its
-    draw(gen) gives one draw per row as integer coordinates X - t.
+    draw(gen, k) gives k draws per row, row by row, as coordinates X - t.
     """
     _check_sigma(sigma)
     shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
@@ -404,12 +411,14 @@ class _SupportBlock:
         return (np.exp(emax[:, 0]) * tot / norm, (w * self.d2).sum(axis=1) / tot,
                 np.full(tot.shape, self.tail))
 
-    def draw(self, gen):
-        u = gen.random(self.d2.shape[0])
+    def draw(self, gen, k):
         e = np.exp(-(self.d2 - self.d2.min(axis=1, keepdims=True)) / (2 * self.sigma**2))
         cs = np.cumsum(e, axis=1)
-        idx = (cs < (u * cs[:, -1])[:, None]).sum(axis=1)
-        return self.scoords[idx] - self.anchors
+        bar = gen.random((cs.shape[0], k)) * cs[:, -1:]
+        step = max(1, _BLOCK_ENTRIES // cs.size)  # draws per row a pass
+        idx = np.concatenate([(cs[:, None, :] < bar[:, b:b + step, None]).sum(axis=2)
+                              for b in range(0, k, step)], axis=1)
+        return (self.scoords[idx] - self.anchors[:, None]).reshape(-1, self.scoords.shape[1])
 
 
 def _log_mix(la, lb):
@@ -521,21 +530,21 @@ class _KernelBlock:
     def stats(self):
         return self.mass, self.power, self.tail
 
-    def draw(self, gen):
-        """Backward through the recursion: one uniform per coordinate, after
-        one that picks the half-coset by its mass when there are two."""
+    def draw(self, gen, k):
+        """Backward through the recursion, k draws per row: one uniform per
+        coordinate, after one that picks the half-coset by its mass if two."""
         n, rows, halves, width = self.a.shape
-        u = gen.random((rows, n + halves - 1))
-        idx = np.arange(rows)
+        row = np.repeat(np.arange(rows), k)  # each row k times
+        u = gen.random((row.size, n + halves - 1))
         lh = self.log_half
-        cs = np.cumsum(np.exp(lh - lh.max(axis=1, keepdims=True)), axis=1)
+        cs = np.cumsum(np.exp(lh - lh.max(axis=1, keepdims=True)), axis=1)[row]
         h = (cs[:, :-1] < u[:, :halves - 1] * cs[:, -1:]).sum(axis=1)
-        a, prefix, start, odd0 = (self.a[:, idx, h], self.prefix[:, :, idx, h],
-                                  self.start[:, idx, h], self.odd0[:, idx, h])
+        a, prefix, start, odd0 = (self.a[:, row, h], self.prefix[:, :, row, h],
+                                  self.start[:, row, h], self.odd0[:, row, h])
         alt = np.arange(width) & 1
         # log of the admitted (even, odd) parity of the coordinates up to i
-        need = np.repeat(self.log_accept[:, None], rows, axis=1)
-        v = np.empty((rows, n))
+        need = np.repeat(self.log_accept[:, None], row.size, axis=1)
+        v = np.empty((row.size, n))
         for i in range(n - 1, -1, -1):
             odd = (odd0[i, :, None] + alt) & 1  # (rows, 2W+1) parity of each k
             p = prefix[i]
@@ -545,8 +554,8 @@ class _KernelBlock:
             cs = np.cumsum(np.exp(lw - lw.max(axis=1, keepdims=True)), axis=1)
             j = (cs < (u[:, halves - 1 + i] * cs[:, -1])[:, None]).sum(axis=1)
             v[:, i] = start[i] + j
-            need = np.where(odd[idx, j] == 1, need[::-1], need)
-        return self.lat.coords_of(self.lat.family[1] * v) - self.anchors
+            need = np.where((odd0[i] + j) & 1, need[::-1], need)  # the parity of k
+        return self.lat.coords_of(self.lat.family[1] * v) - self.anchors[row]
 
 
 def batch_coset_stats(lat: Lattice, shifts, sigma, rel_tol=1e-9):

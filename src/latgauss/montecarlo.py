@@ -39,13 +39,18 @@ from .lattices import (
     scale_lattice,
     standard_lattice,
 )
-from .measures import batch_coset_stats, entropy_exact, mass_zero
+from .measures import (
+    batch_coset_stats,
+    coset_blocks,
+    coset_entropy,
+    entropy_exact,
+    mass_zero,
+)
 from .rng import DEFAULT_SEED, RngStream
 from .sampling import (
     batch_coset_sample,
     discrete_gaussian,
     sample_dither_discrete,
-    sample_indices,
     sample_normal,
 )
 
@@ -248,36 +253,33 @@ def inverse_error_function(lat: Lattice, eps, trials=200_000, tol=1e-3,
 
 
 def dither_audit(config: CodecConfig, t, eps, trials, rng: RngStream) -> DitherAudit:
-    """Measure one dither against the four goodness events."""
-    scaled = config.scaled
-    p = config.params
-    n = scaled.n
+    """Measure one dither against the four goodness events, on its law as one
+    measures.coset_blocks row at tail 1e-12 (draws child 0, noise child 1)."""
+    scaled, p, n = config.scaled, config.params, config.lattice.n
     t = np.asarray(t, dtype=float)
-    spec = discrete_gaussian(scaled, t, p.sigma_s)
-    idx = sample_indices(spec, rng.child(0), trials)
     w = sample_normal(p.sigma_w, n, rng.child(1), trials=trials)
+    (block,) = coset_blocks(scaled, t[None], p.sigma_s, 1e-12)
+    mass, power, _ = (float(col[0]) for col in block.stats())
+    coords = block.draw(rng.child(0).generator(), trials)
     tx = transmit_batch(config, np.broadcast_to(t, (trials, n)),
-                        spec.points[idx], spec.coords[idx], w)
+                        t + scaled.embed(coords), coords, w)
     err_ci = proportion_ci(int(tx.err.sum()), trials, seed=rng.seed)
 
     err_inv = config.scale / p.sigma_eff
     gamma = err_inv**2 * config.lattice.volume ** (2.0 / n) / TWO_PI_E
     capacity = 0.5 * math.log1p(p.snr)
     gap = 0.5 * math.log(gamma) + 2 / math.sqrt(n) + 4 / n
-    rate = spec.entropy / n
-    rel_power = spec.power / p.sigma_s2
+    rate = float(coset_entropy(mass, power, p.sigma_s, n)) / n
+    rel_power = power / p.sigma_s2
     norm_power = rel_power / n
     return DitherAudit(
-        t=t,
-        err_rate=err_ci,
+        t=t, err_rate=err_ci, mass=mass, rate=rate,
         avg_power=CIEstimate(p_hat=norm_power, lo=norm_power, hi=norm_power,
                              trials=0, seed=rng.seed),
-        mass=spec.mass,
-        rate=rate,
         pass_a=err_ci.hi <= 6 * eps,
         pass_b=abs(rel_power - n) <= 4 * math.sqrt(n),
         pass_c=rate >= capacity - gap,
-        pass_d=spec.mass >= math.exp(-4.0) / scaled.volume,
+        pass_d=mass >= math.exp(-4.0) / scaled.volume,
     )
 
 
@@ -311,12 +313,8 @@ def theorem1_suite(lat: Lattice, eps, snr, dithers=100, trials=2000,
         "pass": frac >= threshold,
         "err_inv": err_inv,
         "scale": scale,
-        "flag_fractions": {
-            "a": sum(a.pass_a for a in audits) / dithers,
-            "b": sum(a.pass_b for a in audits) / dithers,
-            "c": sum(a.pass_c for a in audits) / dithers,
-            "d": sum(a.pass_d for a in audits) / dithers,
-        },
+        "flag_fractions": {f: sum(getattr(a, f"pass_{f}") for a in audits) / dithers
+                           for f in "abcd"},
         "audits": audits,
     }
 
@@ -403,19 +401,16 @@ def transmission_experiment(config: CodecConfig, trials, rng: RngStream,
                             keep_err=False) -> dict:
     """Draw per-trial dithers by config mode, then run the trial engine.
 
-    Also reports a rate proxy: the exact per-dither entropy rate averaged
-    over the first few dithers (they are exchangeable). keep_err retains
-    the per-trial indicator array for callers that log trial by trial.
+    Also reports a rate proxy: the exact per-dither entropy rate of the first
+    few dithers (they are exchangeable), from one batch_coset_stats call.
+    keep_err retains the per-trial indicator array for trial-by-trial logs.
     """
-    n = config.lattice.n
+    n, sigma = config.lattice.n, config.params.sigma_s
     t = draw_dithers(config, rng.child(100), trials)
     out = run_trials(config, t, rng)
     k = 1 if config.dither == "none" else min(8, trials)
-    rates = [
-        discrete_gaussian(config.scaled, t[i], config.params.sigma_s).entropy / n
-        for i in range(k)
-    ]
-    out["rate_proxy"] = float(np.mean(rates))
+    law = batch_coset_stats(config.scaled, t[:k], sigma, rel_tol=1e-12)
+    out["rate_proxy"] = float(np.mean(coset_entropy(law["mass"], law["power"], sigma, n) / n))
     if not keep_err:
         del out["err"]
     return out

@@ -3,9 +3,11 @@
 Three sources: continuous Gaussian vectors, exact discrete Gaussian draws
 over lattice cosets, and the two dither flavors (a plain Gaussian shift,
 and a discrete Gaussian on a finer lattice reduced to the coarse Voronoi
-cell). A single coset is drawn by inverse CDF from the certified law that
-measures.enumerate_masses returns; discrete_gaussian is that law at the
-sampling precision DEFAULT_TAIL. Every sampler returns (trials, n) rows.
+cell). Batches of rows draw from the blocks of measures.coset_blocks. A
+single law wanted whole (`sample`, the discrete dither and its suite) is
+drawn by inverse CDF from discrete_gaussian, the certified law of
+measures.enumerate_masses at the sampling precision DEFAULT_TAIL. Every
+sampler returns (trials, n) rows.
 
 Every sampler is a pure function of (parameters, RngStream): calling twice
 with the same stream reproduces the same draws. Callers that need fresh
@@ -38,18 +40,12 @@ def discrete_gaussian(lat: Lattice, shift, sigma, tail=DEFAULT_TAIL) -> Discrete
     return enumerate_masses(lat, shift, sigma, tail)
 
 
-def sample_indices(spec: DiscreteGaussianSpec, rng: RngStream, trials):
-    """Inverse-CDF draws: `trials` indices into the spec's support."""
+def sample_discrete_gaussian(spec: DiscreteGaussianSpec, rng: RngStream, trials):
+    """`trials` inverse-CDF draws from the truncated support, (trials, n)."""
     if trials < 1:
         raise InvalidParams(f"trials must be at least 1, got {trials}")
-    u = rng.generator().random(trials)
-    idx = np.searchsorted(spec.cum, u, side="right")
-    return np.minimum(idx, len(spec.cum) - 1)
-
-
-def sample_discrete_gaussian(spec: DiscreteGaussianSpec, rng: RngStream, trials):
-    """`trials` exact categorical draws from the truncated support, (trials, n)."""
-    return spec.points[sample_indices(spec, rng, trials)]
+    idx = np.searchsorted(spec.cum, rng.generator().random(trials), side="right")
+    return spec.points[np.minimum(idx, len(spec.cum) - 1)]
 
 
 def sample_normal(sigma, n, rng: RngStream, trials):
@@ -91,6 +87,6 @@ def batch_coset_sample(lat: Lattice, shifts, sigma, rng: RngStream):
     """
     shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
     gen = rng.generator()
-    coords = np.concatenate([blk.draw(gen) for blk in
+    coords = np.concatenate([blk.draw(gen, 1) for blk in
                              coset_blocks(lat, shifts, sigma, _BATCH_TAIL)])
     return shifts + lat.embed(coords), coords

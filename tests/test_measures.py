@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from latgauss.codec import channel_params
+from latgauss.codec import channel_params, codec_config
 from latgauss.errors import InvalidParams
 from latgauss.lattices import (
     dual,
@@ -28,6 +28,7 @@ from latgauss.measures import (
     random_lattice_mean_check,
     smoothing_parameter,
 )
+from latgauss.montecarlo import dither_audit, transmission_experiment
 from latgauss.rng import RngStream
 from latgauss.sampling import batch_coset_sample, discrete_gaussian
 
@@ -384,11 +385,19 @@ def test_families_never_enumerate(lat, monkeypatch):
     assert np.all(got["tail"] <= 1e-9) and np.all(got["mass"] > 0)
     pts, coords = batch_coset_sample(lat, rows, 1.0, RngStream(9))
     np.testing.assert_array_equal(pts, rows + lat.embed(coords))
+    # the per-dither audit and the rate proxy read the same blocks
+    config = codec_config(lat, 1.0, channel_params(1.0, 1.0))
+    audit = dither_audit(config, rows[0], 0.05, 200, RngStream(9))
+    assert audit.mass > 0 and audit.err_rate.trials == 200
+    assert transmission_experiment(config, 50, RngStream(9))["rate_proxy"] > 0
     a2 = standard_lattice("A2")
     with pytest.raises(AssertionError, match="enumerate_coset"):
         batch_coset_stats(a2, rows[:, :2], 1.0)
     with pytest.raises(AssertionError, match="enumerate_coset"):
         batch_coset_sample(a2, rows[:, :2], 1.0, RngStream(9))
+    with pytest.raises(AssertionError, match="enumerate_coset"):
+        dither_audit(codec_config(a2, 1.0, channel_params(1.0, 1.0)), rows[0, :2],
+                     0.05, 200, RngStream(9))
 
 
 def test_effective_noise_pdf_matches_brute():

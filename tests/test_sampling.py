@@ -5,7 +5,7 @@ import pytest
 
 from latgauss.errors import InvalidParams, NotNested
 from latgauss.lattices import new_lattice, scale_lattice, standard_lattice
-from latgauss.measures import batch_coset_stats
+from latgauss.measures import batch_coset_stats, coset_blocks
 from latgauss.rng import RngStream
 from latgauss.sampling import (
     batch_coset_sample,
@@ -185,9 +185,16 @@ def pooled_chi_square_p(spec, coords):
 @pytest.mark.parametrize("lat,shift,sigma", [
     (scale_lattice(standard_lattice("D4"), 2.0), [0.3, -0.7, 0.55, 1.9], 1.0),
     (standard_lattice("E8"), [0.41, -0.2, 0.05, 0.3, -0.33, 0.12, 0.6, -0.08], 0.4),
-], ids=["2D4", "E8"])
+    (standard_lattice("A2"), [0.3, -0.7], 1.0),
+], ids=["2D4", "E8", "A2"])
 def test_kernel_draws_follow_the_enumerated_law(lat, shift, sigma):
+    # one draw from each of many tiled rows, then many draws from one row
+    # (A2 runs the padded block, which takes them in several passes)
     shift = np.asarray(shift)
+    law = discrete_gaussian(lat, shift, sigma)
     _, coords = batch_coset_sample(lat, np.tile(shift, (100_000, 1)), sigma, RngStream(17))
-    p = pooled_chi_square_p(discrete_gaussian(lat, shift, sigma), coords)
-    assert p > 0.001
+    assert pooled_chi_square_p(law, coords) > 0.001
+    (block,) = coset_blocks(lat, shift[None], sigma, 1e-9)
+    coords = block.draw(RngStream(17).generator(), 100_000)
+    assert coords.shape == (100_000, lat.n)
+    assert pooled_chi_square_p(law, coords) > 0.001
