@@ -82,7 +82,6 @@ class Lattice:
         self.name = name
         self.n = n
         self.volume = float(np.prod(diag))
-        self.gram = basis.T @ basis
         # (family, scale) for closed-form decoders: ("Zn"|"Dn"|"E8", s)
         self._fast = _fast
 

@@ -30,10 +30,15 @@ radius rule as enumerate_masses and padded by the covering bound, for all
 rows. Every consumer reads blocks of rows and never branches on the
 lattice.
 
-On top of that primitive: the zero-point probability mass, exact entropy
-via two independent routes (coset_entropy's mass/second-moment identity,
-which blocks and specs share, and a direct -sum p log p), the smoothing
-parameter, and flatness-factor brackets. Two more back the paper's
+Every centred theta quantity reads one certified sum, _centred_sum: the
+log of sum_{x in Lambda} exp(-||x||^2 / 2 sigma^2) over the certified
+centred ball (enumerate_masses' log_raw_sum at the origin, bit for bit),
+its part off the origin, and the tail. The shifted-law radius, the
+zero-point probability mass, the smoothing function g(s) and the upper
+flatness bound all take it from there. On top of the coset law: exact
+entropy via two independent routes (coset_entropy's mass/second-moment
+identity, which blocks and specs share, and a direct -sum p log p) and
+the sampled lower flatness bound. Two more back the paper's
 argument: the folded effective-noise density of the MMSE-scaled channel,
 and a Siegel-style mean of f_sigma over random mod-p lattices (the
 AWGN-good ensemble); demo 03 prints both.
@@ -173,7 +178,7 @@ def _certified_radius(lat, rnorm2, sigma, rel_tol):
         log_extra = 0.0
     else:
         log_m0 = -rnorm2 / (2 * sigma**2)
-        log_rho_c = _centred_log_sum(lat, sigma, rel_tol / 2) + math.log1p(rel_tol)
+        log_rho_c = _centred_sum(lat, sigma, rel_tol / 2)[0] + math.log1p(rel_tol)
         log_target = math.log(rel_tol / 4) + log_m0 - log_rho_c
         log_extra = log_rho_c - log_m0
     t = _solve_tail_t(lat.n, log_target)
@@ -182,10 +187,21 @@ def _certified_radius(lat, rnorm2, sigma, rel_tol):
 
 
 @functools.lru_cache(maxsize=4)
-def _centred_log_sum(lat, sigma, rel_tol):
-    """log_raw_sum of the centred law, enumerated once per (lattice, sigma,
-    rel_tol) however many shifted laws need it (lattices hash by identity)."""
-    return enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol).log_raw_sum
+def _centred_sum(lat, sigma, rel_tol):
+    """(log raw sum, off-origin sum, tail) of sum_{x in Lambda} exp(-||x||^2
+    / 2 sigma^2) over the certified centred ball, enumerated once per
+    (lattice, sigma, rel_tol) however many consumers need it (lattices hash
+    by identity). The log raw sum is enumerate_masses' log_raw_sum at the
+    origin bit for bit: same ball, same weights, same fsum.
+    """
+    _check_sigma(sigma)
+    if not (0 < rel_tol < 1):
+        raise InvalidParams("rel_tol must be in (0, 1)")
+    radius, tail = _certified_radius(lat, 0.0, sigma, rel_tol)
+    _, points = enumerate_coset(lat, np.zeros(lat.n), radius)
+    n2 = (points * points).sum(axis=1)
+    w = np.exp(-n2 / (2 * sigma**2))  # the origin's norm is exactly 0
+    return math.log(math.fsum(w.tolist())), math.fsum(w[n2 > 0].tolist()), tail
 
 
 def enumerate_masses(lat: Lattice, shift, sigma, rel_tol=1e-9) -> DiscreteGaussianSpec:
@@ -225,9 +241,10 @@ def enumerate_masses(lat: Lattice, shift, sigma, rel_tol=1e-9) -> DiscreteGaussi
 def mass_zero(lat: Lattice, sigma, rel_tol=1e-9) -> float:
     """Probability that the centered coset Gaussian puts on the origin.
 
-    P_0 = ((sqrt(2 pi) sigma)^n f_sigma(Lambda))^{-1} = 1 / raw theta sum.
+    P_0 = ((sqrt(2 pi) sigma)^n f_sigma(Lambda))^{-1} = 1 / raw theta sum,
+    the sum read from the certified centred ball of _centred_sum.
     """
-    return math.exp(-enumerate_masses(lat, np.zeros(lat.n), sigma, rel_tol).log_raw_sum)
+    return math.exp(-_centred_sum(lat, sigma, rel_tol)[0])
 
 
 def entropy_exact(lat: Lattice, shift, sigma, tol=1e-9) -> float:
@@ -255,25 +272,25 @@ def entropy_exact(lat: Lattice, shift, sigma, tol=1e-9) -> float:
 def smoothing_parameter(lat: Lattice, eps) -> SmoothingResult:
     """Unique s > 0 with g(s) = sum_{x in Lambda\\0} exp(-||s x||^2 / 2) = eps.
 
-    Every evaluation of g enumerates its own certified centered ball, so the
-    residual reported at the root is trustworthy to the truncation level.
+    Every evaluation of g sums its own certified centred ball (the
+    off-origin part of _centred_sum at sigma = 1/s), so the residual
+    reported at the root is trustworthy to the truncation level. The root
+    is bracketed from the shortest vectors and refined by Brent's method.
     """
     if not (0 < eps < 1):
         raise InvalidParams("eps must be in (0, 1)")
-    lam1 = _shortest_norm(lat)
+    from scipy.optimize import brentq
+
+    lam1, count = _shortest_norm(lat)
     rel = max(1e-14, 1e-10 * eps)
 
     def g(s):
-        radius = _certified_radius(lat, 0.0, 1.0 / s, rel)[0]
-        _, pts = enumerate_coset(lat, np.zeros(lat.n), radius)
-        n2 = (pts**2).sum(axis=1)
-        n2 = n2[n2 > 1e-18 * lam1**2]
-        return float(math.fsum(np.exp(-s * s * n2 / 2).tolist()))
+        return _centred_sum(lat, 1.0 / s, rel)[1]
 
-    # g(s) >= 2 exp(-s^2 lam1^2 / 2) (the +-shortest pair), so slightly below
-    # sqrt(2 log(2/eps)) / lam1 the sum certifiably exceeds eps: a free lower
-    # bracket that never needs an enumeration at small s.
-    s_lo = 0.999 * math.sqrt(2 * math.log(2 / eps)) / lam1
+    # g(s) >= count exp(-s^2 lam1^2 / 2) (the shortest vectors alone), so
+    # slightly below sqrt(2 log(count/eps)) / lam1 the sum certifiably
+    # exceeds eps: a free lower bracket that never needs an enumeration.
+    s_lo = 0.999 * math.sqrt(2 * math.log(count / eps)) / lam1
     s_hi = s_lo * 1.05
     for _ in range(60):
         if g(s_hi) < eps:
@@ -281,16 +298,8 @@ def smoothing_parameter(lat: Lattice, eps) -> SmoothingResult:
         s_hi *= 2
     else:
         raise BracketFailure("no sign change for the smoothing equation")
-    lo, hi = s_lo, s_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > eps:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * mid:
-            break
-    s = 0.5 * (lo + hi)
+    # no absolute xtol: stop once the bracket is within 1e-14 s of the root
+    s = brentq(lambda x: g(x) - eps, s_lo, s_hi, xtol=1e-300, rtol=1e-14)
     val = g(s)
     if not g(s * (1 + 1e-6)) < val * (1 + 1e-12) + 1e-300:
         raise InternalMismatch("smoothing sum is not decreasing at the root")
@@ -298,14 +307,16 @@ def smoothing_parameter(lat: Lattice, eps) -> SmoothingResult:
 
 
 def _shortest_norm(lat):
-    """Exact length of a shortest nonzero vector."""
+    """(lambda_1, count): the exact length of a shortest nonzero vector and
+    the number of vectors of that length (norms up to lambda_1^2 (1 + 1e-9))."""
     r = float(np.linalg.norm(lat.basis, axis=0).min())
     while True:
         _, pts = enumerate_coset(lat, np.zeros(lat.n), r)
         n2 = (pts**2).sum(axis=1)
         n2 = n2[n2 > 1e-18 * r * r]
         if n2.size:
-            return math.sqrt(float(n2.min()))
+            m = float(n2.min())
+            return math.sqrt(m), int((n2 <= m * (1 + 1e-9)).sum())
         r *= 2  # pragma: no cover - the min column norm already suffices
 
 
@@ -313,20 +324,18 @@ def flatness_factor(lat: Lattice, sigma, samples=512, seed=0) -> FlatnessBracket
     """Bracket for max_x |V f_sigma(Lambda + x) - 1| over the Voronoi cell.
 
     The upper bound is the dual theta tail sum_{y in Lambda*\\0}
-    exp(-2 pi^2 sigma^2 ||y||^2) from the Fourier expansion. The lower bound
-    maximizes the deviation over scrambled low-discrepancy points of the
-    basis cell (the coset mass is Lambda-periodic, so this covers the
-    Voronoi cell), so lower <= true flatness <= upper.
+    exp(-2 pi^2 sigma^2 ||y||^2) from the Fourier expansion: the dual's
+    off-origin centred sum at sigma_d = 1 / (2 pi sigma), plus its
+    certified tail. The lower bound maximizes the deviation over scrambled
+    low-discrepancy points of the basis cell (the coset mass is
+    Lambda-periodic, so this covers the Voronoi cell), so lower <= true
+    flatness <= upper.
     """
     _check_sigma(sigma)
     if samples < 1:
         raise InvalidParams("need at least one sample")
-    dl = dual(lat)
-    sig_d = 1.0 / (2 * math.pi * sigma)
-    dlaw = enumerate_masses(dl, np.zeros(lat.n), sig_d, 1e-12)
-    dn2 = (dlaw.points**2).sum(axis=1)
-    upper = float(math.fsum(np.exp(-2 * np.pi**2 * sigma**2 * dn2[dn2 > 1e-18]).tolist()))
-    upper += dlaw.tail * (1.0 + upper)  # keep it a true upper bound
+    _, upper, tail = _centred_sum(dual(lat), 1.0 / (2 * math.pi * sigma), 1e-12)
+    upper += tail * (1.0 + upper)  # keep it a true upper bound
 
     from scipy.stats import qmc
 

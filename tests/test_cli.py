@@ -300,12 +300,14 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about a second to import; only the two sampling
-    # suites need it, and they import it when they run
+    # suites need it, and they import it when they run. scipy.optimize
+    # costs about 0.2 s; smoothing_parameter imports it when it runs
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
-    code = "import sys, latgauss.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, latgauss.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]

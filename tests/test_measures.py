@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from latgauss.codec import channel_params, codec_config
+from latgauss import measures
 from latgauss.errors import InvalidParams
 from latgauss.lattices import (
     dual,
@@ -143,6 +144,23 @@ def test_mass_zero_matches_brute():
     assert mass_zero(Z, 1.0) == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize("name, sigma, tol", [
+    ("A2", 0.7, 1e-13), ("D4", 1.3, 1e-9), ("E8", 0.4, 1e-9),
+])
+def test_mass_zero_is_the_centred_law(name, sigma, tol):
+    # bit for bit: the centred sum is the enumerated law's own log_raw_sum
+    lat = standard_lattice(name)
+    law = enumerate_masses(lat, np.zeros(lat.n), sigma, tol)
+    assert mass_zero(lat, sigma, tol) == math.exp(-law.log_raw_sum)
+
+
+def test_mass_zero_rejects_bad_args():
+    with pytest.raises(InvalidParams):
+        mass_zero(Z, -1.0)
+    with pytest.raises(InvalidParams):
+        mass_zero(Z, 1.0, rel_tol=1.0)
+
+
 def test_mass_zero_sparse_lattice_is_nearly_one():
     p0 = mass_zero(scale_lattice(Z, 10.0), 1.0)
     assert 1.0 - 1e-21 <= p0 <= 1.0
@@ -221,6 +239,55 @@ def test_smoothing_parameter_rejects_bad_eps():
         smoothing_parameter(Z, 0.0)
     with pytest.raises(InvalidParams):
         smoothing_parameter(Z, 1.0)
+
+
+def e8_smoothing_by_theta_series(eps):
+    # theta_E8 = 1 + sum_m 240 sigma_3(m) q^m, the shell m of norm^2 2m
+    # (Conway & Sloane, SPLAG ch. 4)
+    k = np.arange(1, 200)
+    sigma3 = np.array([sum(d**3 for d in range(1, m + 1) if m % d == 0) for m in k],
+                      dtype=float)
+
+    def g(s):
+        return math.fsum((240 * sigma3 * np.exp(-k * s * s)).tolist()) - eps
+
+    return brentq(g, 0.1, 10.0, xtol=1e-15, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.5])
+@pytest.mark.parametrize("self_dual", [False, True], ids=["E8", "dual-E8"])
+def test_smoothing_parameter_matches_e8_theta_series(eps, self_dual):
+    lat = standard_lattice("E8")
+    got = smoothing_parameter(dual(lat) if self_dual else lat, eps)
+    assert got.s == pytest.approx(e8_smoothing_by_theta_series(eps), rel=1e-12)
+    assert got.residual <= 1e-12
+
+
+def test_smoothing_parameter_enumerates_about_ten_balls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_coset(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "enumerate_coset", counted)
+    smoothing_parameter(dual(standard_lattice("E8")), 0.05)
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("lat, lam1, count", [
+    (Z, 1.0, 2),
+    (standard_lattice("Z3"), 1.0, 6),
+    (standard_lattice("A2"), 1.0, 6),
+    (standard_lattice("D4"), math.sqrt(2.0), 24),
+    (standard_lattice("E8"), math.sqrt(2.0), 240),
+    (dual(standard_lattice("E8")), math.sqrt(2.0), 240),
+    (standard_lattice("D16"), math.sqrt(2.0), 480),
+], ids=["Z", "Z3", "A2", "D4", "E8", "dual-E8", "D16"])
+def test_shortest_norm_counts_the_shortest_vectors(lat, lam1, count):
+    got = measures._shortest_norm(lat)
+    assert got[0] == pytest.approx(lam1, rel=1e-14)
+    assert got[1] == count
 
 
 def test_flatness_bracket_orders_and_certifies():
