@@ -18,7 +18,7 @@ from .errors import InvalidParams, NonPositive
 from .lattices import Lattice, dual
 from .measures import smoothing_parameter
 from .montecarlo import inverse_error_function
-from .rng import DEFAULT_SEED, RngStream
+from .rng import RngStream
 
 EXCLUDED_TERMS = "O(log n / n) corrections omitted"
 
@@ -115,7 +115,7 @@ def dither_rate_bound(snr) -> dict:
     return {"bound": max(0.0, raw), "no_dither_needed": raw <= 0.0}
 
 
-def cdlp_sandwich(lat: Lattice, eps, trials=400_000, rng: RngStream = None) -> dict:
+def cdlp_sandwich(lat: Lattice, eps, trials=400_000, *, rng: RngStream) -> dict:
     """Smoothing-parameter sandwich around the inverse error function.
 
     eta_{eps/(1-eps)}(dual) <= err_inv_eps(lat) <= 2 eta_eps(dual); the
@@ -124,8 +124,6 @@ def cdlp_sandwich(lat: Lattice, eps, trials=400_000, rng: RngStream = None) -> d
     """
     if not 0.0 < eps < 0.5:
         raise InvalidParams("eps must be in (0, 0.5)")
-    if rng is None:
-        rng = RngStream(DEFAULT_SEED)
     d = dual(lat)
     lower = smoothing_parameter(d, eps / (1.0 - eps)).s
     upper = 2.0 * smoothing_parameter(d, eps).s

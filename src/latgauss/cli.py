@@ -56,7 +56,7 @@ from .montecarlo import (
     transmission_experiment,
 )
 from .rng import DEFAULT_SEED, RngStream
-from .sampling import discrete_gaussian, sample_discrete_gaussian
+from .sampling import sample_coset
 
 SEED_ENV = "LATGAUSS_SEED"
 
@@ -235,9 +235,7 @@ def cmd_sample(ns):
     shift = np.zeros(lat.n) if ns.shift is None else np.asarray(ns.shift)
     if shift.shape != (lat.n,):
         raise UsageError(f"--shift needs {lat.n} comma-separated values")
-    spec = discrete_gaussian(lat, shift, ns.sigma)
-    pts = sample_discrete_gaussian(spec, RngStream(ns.seed),
-                                   trials=ns.n_samples)
+    pts = sample_coset(lat, shift, ns.sigma, RngStream(ns.seed), ns.n_samples)
     lines = [",".join(_fmt(float(v)) for v in row) for row in pts]
     _emit_csv(lines, ns.csv, ns)
     return 0

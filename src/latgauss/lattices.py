@@ -116,7 +116,7 @@ class Lattice:
 
     @cached_property
     def covering_bound(self):
-        """Upper bound on the covering radius; sizes shared enumerations.
+        """Upper bound on the covering radius, as `latgauss lattice` reports it.
 
         Exact for the Zn, Dn and E8 families. Otherwise the smaller Babai
         bound, half the norm of the triangular diagonal, of the basis and

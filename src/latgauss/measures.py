@@ -8,8 +8,9 @@ ball whose radius is chosen from the exponential norm tail
 
 so the neglected tail is provably below the requested relative tolerance.
 The points come sorted by decreasing probability; the law's mass, second
-moment and entropy are properties of the spec, and sampling draws from the
-same object.
+moment and entropy are properties of the spec. It is the enumerated
+reference law (`measure`, entropy_exact, the discrete suite's expected
+counts, the tests' oracle for the kernel); every draw reads coset_blocks.
 For shifted cosets the bound controls the tail relative to the centered sum;
 the radius is enlarged by the certified ratio between the two masses, with a
 conservative factor-two slack throughout. Sums are accumulated with exact
@@ -17,7 +18,7 @@ conservative factor-two slack throughout. Sums are accumulated with exact
 masses meaningful and makes results independent of enumeration order.
 
 Batches of rows share one front door, coset_blocks, behind
-batch_coset_stats here, sampling.batch_coset_sample and the montecarlo
+batch_coset_stats here, the samplers of sampling and the montecarlo
 dither audits. It accepts any shift, since the law depends only on the
 coset, and decodes every row to the Voronoi cell. The closed-form families
 (Zn, Dn and E8, at any scale) then compute each row's law with a factorized
@@ -26,9 +27,9 @@ laws, Dn a two-state parity recursion over the coordinates, and E8 = D8 u
 (D8 + 1/2) two such recursions combined by mass; each row's window is
 certified against that row's own coset mass. Generic lattices
 (padded_coset_support) enumerate a single ball, certified by the same
-radius rule as enumerate_masses and padded by the covering bound, for all
-rows. Every consumer reads blocks of rows and never branches on the
-lattice.
+radius rule as enumerate_masses and padded by the largest reduced row's
+norm, for all rows. Every consumer reads blocks of rows and never branches
+on the lattice.
 
 Every centred theta quantity reads one certified sum, _centred_sum: the
 log of sum_{x in Lambda} exp(-||x||^2 / 2 sigma^2) over the certified
@@ -67,11 +68,10 @@ from .lattices import (
 
 @dataclass(frozen=True)
 class DiscreteGaussianSpec:
-    """Truncated discrete Gaussian D_{Lambda+shift,sigma}, ready to sample.
+    """Truncated discrete Gaussian D_{Lambda+shift,sigma}, enumerated whole.
 
-    Support is sorted by decreasing mass; cum is the inclusive cumulative
-    probability, so inverse CDF is a single searchsorted. The enumerated
-    support carries at least (1 - tail) of the full coset mass, and
+    The enumerated reference law: support sorted by decreasing mass, which
+    carries at least (1 - tail) of the full coset mass, and
     log_raw_sum is log sum exp(-||x||^2 / 2 sigma^2) over it, from which
     the coset's mass, power and entropy follow.
     """
@@ -84,7 +84,6 @@ class DiscreteGaussianSpec:
     coords: np.ndarray  # (m, n) int64, X = shift + embed(coords)
     points: np.ndarray  # (m, n) float, the coset points themselves
     probs: np.ndarray
-    cum: np.ndarray
     log_raw_sum: float
 
     @property
@@ -228,12 +227,10 @@ def enumerate_masses(lat: Lattice, shift, sigma, rel_tol=1e-9) -> DiscreteGaussi
     probs = weights / wsum
     order = np.argsort(-probs, kind="stable")
     probs = probs[order]
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0  # guard the top against accumulated rounding
     coords = coords[order] - anchor
     return DiscreteGaussianSpec(
         lattice=lat, shift=shift, sigma=float(sigma), radius=radius, tail=tail,
-        coords=coords, points=shift + lat.embed(coords), probs=probs, cum=cum,
+        coords=coords, points=shift + lat.embed(coords), probs=probs,
         log_raw_sum=-emin / (2 * sigma**2) + math.log(wsum),
     )
 
@@ -387,12 +384,12 @@ def coset_blocks(lat: Lattice, shifts, sigma, rel_tol):
 def padded_coset_support(lat: Lattice, anchors, rows, sigma, rel_tol):
     """Blocks of reduced rows against one shared support, any lattice.
 
-    Each row's norm is at most mu = covering_bound; the ball certified for
-    a shift of norm mu (as in enumerate_masses), padded by mu, then keeps
-    each row's truncation below rel_tol. Blocks hold at most 256 rows and
-    near 8M squared distances.
+    Each row's norm is at most mu, the largest among the rows given; the
+    ball certified for a shift of norm mu (as in enumerate_masses), padded
+    by mu, then keeps each row's truncation below rel_tol. Blocks hold at
+    most 256 rows and near 8M squared distances.
     """
-    mu = lat.covering_bound
+    mu = math.sqrt(float((rows**2).sum(axis=1).max(initial=0.0)))
     radius, tail = _certified_radius(lat, mu**2, sigma, rel_tol)
     scoords, spts = enumerate_coset(lat, np.zeros(lat.n), radius + mu)
     sn2 = (spts**2).sum(axis=1)
@@ -424,9 +421,8 @@ class _SupportBlock:
         e = np.exp(-(self.d2 - self.d2.min(axis=1, keepdims=True)) / (2 * self.sigma**2))
         cs = np.cumsum(e, axis=1)
         bar = gen.random((cs.shape[0], k)) * cs[:, -1:]
-        step = max(1, _BLOCK_ENTRIES // cs.size)  # draws per row a pass
-        idx = np.concatenate([(cs[:, None, :] < bar[:, b:b + step, None]).sum(axis=2)
-                              for b in range(0, k, step)], axis=1)
+        # a row's cs never decreases: the count of cs < bar is a sorted search
+        idx = np.stack([np.searchsorted(c, b, side="left") for c, b in zip(cs, bar)])
         return (self.scoords[idx] - self.anchors[:, None]).reshape(-1, self.scoords.shape[1])
 
 
@@ -541,9 +537,18 @@ class _KernelBlock:
 
     def draw(self, gen, k):
         """Backward through the recursion, k draws per row: one uniform per
-        coordinate, after one that picks the half-coset by its mass if two."""
-        n, rows, halves, width = self.a.shape
-        row = np.repeat(np.arange(rows), k)  # each row k times
+        coordinate, after one that picks the half-coset by its mass if two.
+        The draws go row by row, in passes of near 8M window entries: the
+        (n, draws, 2W+1) gather and some eight (draws, 2W+1) temporaries a
+        coordinate."""
+        n, rows, _, width = self.a.shape
+        step = max(1, _BLOCK_ENTRIES // ((n + 8) * width))  # draws a pass
+        return np.concatenate([self._draw(gen, np.arange(b, min(b + step, rows * k)) // k)
+                               for b in range(0, max(rows * k, 1), step)])
+
+    def _draw(self, gen, row):
+        """One draw for each entry of row, on the next uniforms of gen."""
+        n, _, halves, width = self.a.shape
         u = gen.random((row.size, n + halves - 1))
         lh = self.log_half
         cs = np.cumsum(np.exp(lh - lh.max(axis=1, keepdims=True)), axis=1)[row]

@@ -44,12 +44,13 @@ from .measures import (
     coset_blocks,
     coset_entropy,
     entropy_exact,
+    enumerate_masses,
     mass_zero,
 )
-from .rng import DEFAULT_SEED, RngStream
+from .rng import RngStream
 from .sampling import (
+    DEFAULT_TAIL,
     batch_coset_sample,
-    discrete_gaussian,
     sample_dither_discrete,
     sample_normal,
 )
@@ -183,8 +184,8 @@ def _critical_scales(lat: Lattice, z):
     return out
 
 
-def inverse_error_function(lat: Lattice, eps, trials=200_000, tol=1e-3,
-                           rng: RngStream = None, max_trials=None) -> float:
+def inverse_error_function(lat: Lattice, eps, trials=200_000, tol=1e-3, *,
+                           rng: RngStream, max_trials=None) -> float:
     """Smallest s with Pr[N(0,I) escapes V(s Lambda)] <= eps.
 
     Each noise draw has a critical scale below which it escapes, so the
@@ -203,8 +204,6 @@ def inverse_error_function(lat: Lattice, eps, trials=200_000, tol=1e-3,
     """
     if not (0 < eps <= 0.5):
         raise InvalidParams("eps must be in (0, 0.5]")
-    if rng is None:
-        rng = RngStream(DEFAULT_SEED)
     if max_trials is None:
         max_trials = trials * 1024
     s = np.empty(0)
@@ -283,8 +282,8 @@ def dither_audit(config: CodecConfig, t, eps, trials, rng: RngStream) -> DitherA
     )
 
 
-def theorem1_suite(lat: Lattice, eps, snr, dithers=100, trials=2000,
-                   rng: RngStream = None, err_inv=None) -> dict:
+def theorem1_suite(lat: Lattice, eps, snr, dithers=100, trials=2000, *,
+                   rng: RngStream, err_inv=None) -> dict:
     """Audit a population of continuous dithers against all four events.
 
     The shaping theorem promises a pass fraction of at least one half over
@@ -293,8 +292,6 @@ def theorem1_suite(lat: Lattice, eps, snr, dithers=100, trials=2000,
     """
     if dithers < 1:
         raise InvalidParams(f"dithers must be at least 1, got {dithers}")
-    if rng is None:
-        rng = RngStream(DEFAULT_SEED)
     params = channel_params(1.0, 1.0 / snr)
     if err_inv is None:
         err_inv = inverse_error_function(lat, eps, rng=rng.child(0))
@@ -417,7 +414,7 @@ def transmission_experiment(config: CodecConfig, trials, rng: RngStream,
 
 
 def markov_error_suite(lat: Lattice, eps, snr, gammas=(2.0, 6.0), dithers=500,
-                       trials=2000, rng: RngStream = None, err_inv=None) -> dict:
+                       trials=2000, *, rng: RngStream, err_inv=None) -> dict:
     """Markov bound on the per-dither error rate.
 
     The average error over the dither measure is at most eps by the scale
@@ -428,7 +425,7 @@ def markov_error_suite(lat: Lattice, eps, snr, gammas=(2.0, 6.0), dithers=500,
     bad = [g for g in gammas if not g >= 1]
     if bad:
         raise InvalidParams(f"gammas must be at least 1, got {bad}")
-    suite = theorem1_suite(lat, eps, snr, dithers, trials, rng, err_inv)
+    suite = theorem1_suite(lat, eps, snr, dithers, trials, rng=rng, err_inv=err_inv)
     rates = np.array([a.err_rate.p_hat for a in suite["audits"]])
     report = {"err_inv": suite["err_inv"], "gammas": {}, "pass": True,
               "mean_rate": float(rates.mean())}
@@ -443,28 +440,21 @@ def markov_error_suite(lat: Lattice, eps, snr, gammas=(2.0, 6.0), dithers=500,
     return report
 
 
-def sampling_lemma_suite(lat: Lattice, sigma_s, trials, rng: RngStream = None,
-                         skip_dither=False) -> dict:
+def sampling_lemma_suite(lat: Lattice, sigma_s, trials, rng: RngStream) -> dict:
     """Dithered lattice samples must be exactly Gaussian in law.
 
     Draws T ~ N(0, sigma_s^2 I), then X ~ D_{Lambda+T, sigma_s}, and tests
     X against N(0, sigma_s^2 I): per-coordinate KS, an equiprobable-bin
     chi-square on ||X||^2/sigma_s^2 against chi2(n), and a 3-standard-error
     check on the mean squared norm. KS and chi-square share a Bonferroni
-    budget of 0.01. skip_dither=True is the broken control: it freezes
-    T = 0, which concentrates X on the bare lattice and must fail.
+    budget of 0.01.
     """
-    if rng is None:
-        rng = RngStream(DEFAULT_SEED)
     if trials < 10_000:
         raise InvalidParams("need at least 10^4 trials")
     from scipy import stats
 
     n = lat.n
-    if skip_dither:
-        t = np.zeros((trials, n))
-    else:
-        t = sample_normal(sigma_s, n, rng.child(0), trials=trials)
+    t = sample_normal(sigma_s, n, rng.child(0), trials=trials)
     x, _ = batch_coset_sample(lat, t, sigma_s, rng.child(1))
 
     ks_p = [float(stats.kstest(x[:, i], "norm", args=(0.0, sigma_s)).pvalue)
@@ -485,21 +475,20 @@ def sampling_lemma_suite(lat: Lattice, sigma_s, trials, rng: RngStream = None,
 
 
 def discrete_sampling_suite(coarse: Lattice, fine: Lattice, sigma, trials,
-                            rng: RngStream = None) -> dict:
+                            rng: RngStream) -> dict:
     """Discretely dithered samples must reproduce D_{fine,sigma} exactly.
 
     T' = (D_{fine,sigma} mod coarse) per trial, then X ~ D_{coarse+T',sigma};
     the composition must equal D_{fine,sigma} in law. Chi-square against the
     exact masses, bins pooled from the tail up so every expected count is
-    at least 5; it passes at a p-value above 0.001.
+    at least 5; it passes at a p-value above 0.001. The masses are the
+    enumerated law, apart from the sampler.
     """
-    if rng is None:
-        rng = RngStream(DEFAULT_SEED)
     from scipy import stats
 
     tp = sample_dither_discrete(coarse, fine, sigma, rng.child(0), trials=trials)
     x, _ = batch_coset_sample(coarse, tp, sigma, rng.child(1))
-    spec = discrete_gaussian(fine, np.zeros(fine.n), sigma)
+    spec = enumerate_masses(fine, np.zeros(fine.n), sigma, DEFAULT_TAIL)
     cf = np.rint(fine.coords_of(x)).astype(np.int64)
     key_of = {tuple(k): i for i, k in enumerate(map(tuple, spec.coords))}
     counts = np.zeros(len(spec.probs) + 1)
@@ -577,13 +566,11 @@ def effective_noise_tail_check(lat: Lattice, snr, trials, rng: RngStream) -> dic
     return out
 
 
-def tail_bounds_suite(trials=100_000, rng: RngStream = None) -> dict:
+def tail_bounds_suite(trials, rng: RngStream) -> dict:
     """Both tail families on an n=8 and an n=16 lattice.
 
     E8 is dilated by 4; both bounds are dilation-invariant statements.
     """
-    if rng is None:
-        rng = RngStream(DEFAULT_SEED)
     e8 = scale_lattice(standard_lattice("E8"), 4.0)
     z16 = standard_lattice("Z16")
     report = {
@@ -604,7 +591,7 @@ def tail_bounds_suite(trials=100_000, rng: RngStream = None) -> dict:
 
 
 def converse_experiment(lat: Lattice, sigma_s, sigma_w, trials,
-                        rng: RngStream = None) -> ConverseReport:
+                        rng: RngStream) -> ConverseReport:
     """Low-SNR converse: error probability vs the mass at zero.
 
     The coding distribution is the centered discrete Gaussian (no dither,
@@ -612,8 +599,6 @@ def converse_experiment(lat: Lattice, sigma_s, sigma_w, trials,
     Whenever SNR < 1 the error probability must exceed (1 - P_0)/2 up to
     CI slack, and the entropy rate must sit under the closed-form cap.
     """
-    if rng is None:
-        rng = RngStream(DEFAULT_SEED)
     params = channel_params(sigma_s**2, sigma_w**2)
     config = codec_config(lat, 1.0, params, dither="none")
     n = lat.n

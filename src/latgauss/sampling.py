@@ -3,11 +3,10 @@
 Three sources: continuous Gaussian vectors, exact discrete Gaussian draws
 over lattice cosets, and the two dither flavors (a plain Gaussian shift,
 and a discrete Gaussian on a finer lattice reduced to the coarse Voronoi
-cell). Batches of rows draw from the blocks of measures.coset_blocks. A
-single law wanted whole (`sample`, the discrete dither and its suite) is
-drawn by inverse CDF from discrete_gaussian, the certified law of
-measures.enumerate_masses at the sampling precision DEFAULT_TAIL. Every
-sampler returns (trials, n) rows.
+cell). Every coset draw reads the blocks of measures.coset_blocks: a batch
+takes one draw per row, and a single law (`sample`, the discrete dither
+and its suite) takes all its draws from one row, sample_coset, at the
+sampling precision DEFAULT_TAIL. Every sampler returns (trials, n) rows.
 
 Every sampler is a pure function of (parameters, RngStream): calling twice
 with the same stream reproduces the same draws. Callers that need fresh
@@ -28,24 +27,21 @@ from .lattices import (
     decode_batch,  # noqa: F401  unused; perfbench/test_run.py asserts this binding
     reduce_batch,
 )
-from .measures import DiscreteGaussianSpec, coset_blocks, enumerate_masses
+from .measures import coset_blocks
 from .rng import RngStream
 
 DEFAULT_TAIL = 1e-12
 _BATCH_TAIL = 1e-9  # certified truncation per row of batch_coset_sample
 
 
-def discrete_gaussian(lat: Lattice, shift, sigma, tail=DEFAULT_TAIL) -> DiscreteGaussianSpec:
-    """D_{Lambda+shift,sigma} at the sampling precision: enumerate_masses at tail."""
-    return enumerate_masses(lat, shift, sigma, tail)
-
-
-def sample_discrete_gaussian(spec: DiscreteGaussianSpec, rng: RngStream, trials):
-    """`trials` inverse-CDF draws from the truncated support, (trials, n)."""
+def sample_coset(lat: Lattice, shift, sigma, rng: RngStream, trials):
+    """`trials` draws X ~ D_{Lambda+shift,sigma}, (trials, n), from one
+    coset_blocks row at the sampling precision DEFAULT_TAIL."""
     if trials < 1:
         raise InvalidParams(f"trials must be at least 1, got {trials}")
-    idx = np.searchsorted(spec.cum, rng.generator().random(trials), side="right")
-    return spec.points[np.minimum(idx, len(spec.cum) - 1)]
+    shift = np.asarray(shift, dtype=float)
+    (block,) = coset_blocks(lat, shift[None], sigma, DEFAULT_TAIL)
+    return shift + lat.embed(block.draw(rng.generator(), trials))
 
 
 def sample_normal(sigma, n, rng: RngStream, trials):
@@ -73,8 +69,7 @@ def sample_dither_discrete(coarse: Lattice, fine: Lattice, sigma_s,
                            rng: RngStream, trials):
     """`trials` rows T ~ D_{fine,sigma_s} reduced mod coarse."""
     check_nested(coarse, fine)
-    spec = discrete_gaussian(fine, np.zeros(fine.n), sigma_s)
-    return reduce_batch(coarse, sample_discrete_gaussian(spec, rng, trials))
+    return reduce_batch(coarse, sample_coset(fine, np.zeros(fine.n), sigma_s, rng, trials))
 
 
 def batch_coset_sample(lat: Lattice, shifts, sigma, rng: RngStream):

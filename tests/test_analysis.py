@@ -146,4 +146,4 @@ def test_cdlp_sandwich_on_z():
     assert got["lower"] < got["mid"] < got["upper"]
     assert got["ok"]
     with pytest.raises(InvalidParams):
-        cdlp_sandwich(standard_lattice("Z"), 0.5)
+        cdlp_sandwich(standard_lattice("Z"), 0.5, rng=RngStream(1))

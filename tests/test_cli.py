@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import latgauss.cli as cli
+from latgauss.lattices import standard_lattice
 
 
 def run_json(capsys, argv):
@@ -238,6 +239,16 @@ def test_sample_csv_shape(capsys):
     for row in data:
         # Z + 1/2 coset: every sample is a half integer
         assert float(row) % 1.0 == 0.5
+
+
+def test_sample_e8_wide_sigma(capsys):
+    # the E8 kernel draws without enumerating the 28.7M-point certified ball
+    code = cli.run(["sample", "--lattice", "E8", "--sigma", "1.3", "--n-samples", "3"])
+    assert code == 0
+    data = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(data) == 3
+    for row in data:
+        standard_lattice("E8").coords_of([float(v) for v in row.split(",")])
 
 
 def test_lattice_json_document(capsys):

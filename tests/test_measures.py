@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -31,7 +30,7 @@ from latgauss.measures import (
 )
 from latgauss.montecarlo import dither_audit, transmission_experiment
 from latgauss.rng import RngStream
-from latgauss.sampling import batch_coset_sample, discrete_gaussian
+from latgauss.sampling import batch_coset_sample, sample_coset, sample_dither_discrete
 
 Z = standard_lattice("Z")
 
@@ -103,7 +102,7 @@ def test_enumerate_masses_consistency():
     ("A2", [1e3 + 0.3, -0.2]),
     ("D4", np.random.default_rng(17).normal(scale=3.0, size=4)),
 ])
-def test_enumerate_masses_is_the_sampled_law(name, shift):
+def test_enumerate_masses_matches_the_brute_law(name, shift):
     lat = standard_lattice(name)
     sigma = 0.8
     t = np.asarray(shift, dtype=float)
@@ -117,15 +116,9 @@ def test_enumerate_masses_is_the_sampled_law(name, shift):
     assert law.mass == pytest.approx(raw / (2 * math.pi * sigma**2) ** (lat.n / 2), rel=1e-10)
     assert law.power == pytest.approx(math.fsum((p * n2).tolist()), rel=1e-10)
     assert law.entropy == pytest.approx(-math.fsum((p * np.log(p)).tolist()), rel=1e-10)
-    # the law is anchored to the caller's shift and sorted for inversion
+    # the law is anchored to the caller's shift and sorted by decreasing mass
     np.testing.assert_array_equal(law.points, t + lat.embed(law.coords))
     assert np.all(np.diff(law.probs) <= 0)
-    assert law.cum[-1] == 1.0
-    # sampling draws from this very law
-    spec = discrete_gaussian(lat, t, sigma, 1e-9)
-    same = enumerate_masses(lat, t, sigma, 1e-9)
-    for field in dataclasses.fields(same):
-        np.testing.assert_array_equal(getattr(spec, field.name), getattr(same, field.name))
 
 
 def test_enumerate_masses_rejects_bad_args():
@@ -465,6 +458,31 @@ def test_families_never_enumerate(lat, monkeypatch):
     with pytest.raises(AssertionError, match="enumerate_coset"):
         dither_audit(codec_config(a2, 1.0, channel_params(1.0, 1.0)), rows[0, :2],
                      0.05, 200, RngStream(9))
+    # a single law and the discrete dither read the same blocks
+    x = sample_coset(lat, rows[0], 1.0, RngStream(9), 500)
+    assert x.shape == (500, lat.n)
+    lat.coords_of(x - rows[0])  # raises unless every draw is on the coset
+    t = sample_dither_discrete(scale_lattice(lat, 2.0), lat, 1.0, RngStream(9), 500)
+    assert t.shape == (500, lat.n)
+    lat.coords_of(t)
+    with pytest.raises(AssertionError, match="enumerate_coset"):
+        sample_coset(a2, rows[0, :2], 1.0, RngStream(9), 500)
+
+
+def test_kernel_draws_the_same_in_passes(monkeypatch):
+    # a kernel block takes its draws in passes bounded by _BLOCK_ENTRIES;
+    # the uniforms come in order, so smaller passes draw the same points
+    gen = np.random.default_rng(8)
+    (e8,) = measures.coset_blocks(standard_lattice("E8"), gen.normal(size=(1, 8)), 1.0, 1e-12)
+    (z16,) = measures.coset_blocks(standard_lattice("Z16"), gen.normal(size=(300, 16)) * 2,
+                                   2.0, 1e-12)
+    # built before the patch, which would also size them
+    cases = [(e8, 5000), (e8, 3), (z16, 3)]
+    want = [b.draw(RngStream(5).generator(), k) for b, k in cases]
+    monkeypatch.setattr(measures, "_BLOCK_ENTRIES", 1000)
+    for (b, k), coords in zip(cases, want):
+        assert coords.shape == (b.anchors.shape[0] * k, b.anchors.shape[1])
+        np.testing.assert_array_equal(b.draw(RngStream(5).generator(), k), coords)
 
 
 def test_effective_noise_pdf_matches_brute():

@@ -158,9 +158,9 @@ def test_inverse_error_function_agrees_with_closed_form():
 
 def test_inverse_error_function_guards():
     with pytest.raises(InvalidParams):
-        inverse_error_function(Z, 0.7)
+        inverse_error_function(Z, 0.7, rng=RngStream(1))
     with pytest.raises(InvalidParams):
-        inverse_error_function(Z, 0.0)
+        inverse_error_function(Z, 0.0, rng=RngStream(1))
     with pytest.raises(ResolutionExceeded) as err:
         inverse_error_function(Z, 0.05, trials=2000, tol=1e-7,
                                rng=RngStream(1), max_trials=2000)
@@ -248,15 +248,18 @@ def test_chernoff_power_tails():
         chernoff_power_check(Z4, 1.0, 1.0, 200, RngStream(0))
 
 
-def test_sampling_lemma_passes_and_control_fails():
+def test_sampling_lemma_passes_and_control_fails(monkeypatch):
     got = sampling_lemma_suite(Z4, 1.0, 10_000, RngStream(51))
     assert got["pass"]
     assert len(got["ks_p"]) == 4
     assert got["per_test_level"] == pytest.approx(0.01 / 5)
     assert abs(got["mean_z"]) <= 3
-    # broken control: without the dither the law concentrates on the bare
-    # lattice and the Gaussian hypothesis must be rejected
-    bad = sampling_lemma_suite(Z, 0.3, 10_000, RngStream(52), skip_dither=True)
+    # broken control: without the dither (T = 0) the law concentrates on the
+    # bare lattice and the Gaussian hypothesis must be rejected
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "sample_normal",
+                  lambda sigma, n, rng, trials: np.zeros((trials, n)))
+        bad = sampling_lemma_suite(Z, 0.3, 10_000, RngStream(52))
     assert not bad["pass"]
     with pytest.raises(InvalidParams):
         sampling_lemma_suite(Z4, 1.0, 5000, RngStream(0))

@@ -5,13 +5,13 @@ import pytest
 
 from latgauss.errors import InvalidParams, NotNested
 from latgauss.lattices import new_lattice, scale_lattice, standard_lattice
-from latgauss.measures import batch_coset_stats, coset_blocks
+from latgauss.measures import batch_coset_stats, coset_blocks, enumerate_masses
 from latgauss.rng import RngStream
 from latgauss.sampling import (
+    DEFAULT_TAIL,
     batch_coset_sample,
     check_nested,
-    discrete_gaussian,
-    sample_discrete_gaussian,
+    sample_coset,
     sample_dither_discrete,
     sample_normal,
 )
@@ -26,8 +26,7 @@ P_EVEN = 0.5071918833173457
 
 
 def test_spec_is_a_sorted_distribution():
-    spec = discrete_gaussian(Z, [0.5], 1.0)
-    assert spec.cum[-1] == 1.0
+    spec = enumerate_masses(Z, [0.5], 1.0, DEFAULT_TAIL)
     assert np.all(np.diff(spec.probs) <= 0)
     assert math.fsum(spec.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
     assert spec.tail <= 1e-12
@@ -37,41 +36,42 @@ def test_spec_is_a_sorted_distribution():
 
 
 def test_sampler_hits_exact_point_mass():
-    spec = discrete_gaussian(Z, [0.5], 1.0)
-    x = sample_discrete_gaussian(spec, RngStream(11), trials=20000)
+    x = sample_coset(Z, [0.5], 1.0, RngStream(11), 20000)
     phat = float((x[:, 0] == 0.5).mean())
     se = math.sqrt(P_HALF * (1 - P_HALF) / 20000)
     assert abs(phat - P_HALF) <= 4 * se
 
 
 def test_sparse_lattice_always_returns_origin():
-    spec = discrete_gaussian(scale_lattice(Z, 10.0), [0.0], 1.0)
-    x = sample_discrete_gaussian(spec, RngStream(3), trials=500)
-    assert np.all(x == 0.0)
+    x = sample_coset(scale_lattice(Z, 10.0), [0.0], 1.0, RngStream(3), 500)
+    assert x.shape == (500, 1) and np.all(x == 0.0)
 
 
 def test_single_draw_shape():
-    spec = discrete_gaussian(Z, [0.0], 1.0)
+    assert sample_coset(standard_lattice("A2"), [0.1, 0.2], 1.0, RngStream(4), 1).shape == (1, 2)
     with pytest.raises(InvalidParams):
-        sample_discrete_gaussian(spec, RngStream(4), trials=0)
+        sample_coset(Z, [0.0], 1.0, RngStream(4), 0)
 
 
 def test_far_shift_keeps_exact_anchoring():
     # a coset anchored a million steps out: coordinates absorb the offset
     # and the top point still lands next to the origin
-    spec = discrete_gaussian(Z, [1e6 + 0.3], 1.0)
+    spec = enumerate_masses(Z, [1e6 + 0.3], 1.0, DEFAULT_TAIL)
     assert spec.coords[0, 0] == -1_000_000
     assert abs(spec.points[0, 0] - 0.3) <= 1e-9
     rebuilt = spec.shift + spec.lattice.embed(spec.coords)
     np.testing.assert_array_equal(spec.points, rebuilt)
+    # the sampler draws near the origin from the same coset
+    x = sample_coset(Z, [1e6 + 0.3], 1.0, RngStream(5), 100)
+    assert np.all(np.abs(x) < 10)
+    np.testing.assert_allclose(x - np.rint(x - 0.3), 0.3, rtol=0, atol=1e-9)
 
 
 def test_same_stream_reproduces_draws():
-    spec = discrete_gaussian(Z, [0.3], 1.0)
-    a = sample_discrete_gaussian(spec, RngStream(21), trials=64)
-    b = sample_discrete_gaussian(spec, RngStream(21), trials=64)
+    a = sample_coset(Z, [0.3], 1.0, RngStream(21), 64)
+    b = sample_coset(Z, [0.3], 1.0, RngStream(21), 64)
     np.testing.assert_array_equal(a, b)
-    c = sample_discrete_gaussian(spec, RngStream(21).child(1), trials=64)
+    c = sample_coset(Z, [0.3], 1.0, RngStream(21).child(1), 64)
     assert not np.array_equal(a, c)
 
 
@@ -191,7 +191,7 @@ def test_kernel_draws_follow_the_enumerated_law(lat, shift, sigma):
     # one draw from each of many tiled rows, then many draws from one row
     # (A2 runs the padded block, which takes them in several passes)
     shift = np.asarray(shift)
-    law = discrete_gaussian(lat, shift, sigma)
+    law = enumerate_masses(lat, shift, sigma, DEFAULT_TAIL)
     _, coords = batch_coset_sample(lat, np.tile(shift, (100_000, 1)), sigma, RngStream(17))
     assert pooled_chi_square_p(law, coords) > 0.001
     (block,) = coset_blocks(lat, shift[None], sigma, 1e-9)
