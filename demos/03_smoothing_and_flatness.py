@@ -39,12 +39,12 @@ mean = measures.random_lattice_mean_check(4, 16.0, 60, 1.0, RngStream(5))
 print(f"\nrandom mod-127 lattices, n=4, V=16, sigma=1: mean f_sigma(L) "
       f"{mean['empirical']:.4f} +- {mean['stderr']:.4f}, Siegel {mean['predicted']:.4f}")
 
-# Sandwich check: dual-smoothing lower bound <= measured inverse error
-# function <= twice the dual smoothing, on Z2 with a seeded estimate.
+# Sandwich check: dual-smoothing lower bound <= inverse error function
+# <= twice the dual smoothing, on Z2 (the closed form of Z^n).
 rng = RngStream(7)
 report = analysis.cdlp_sandwich(standard_lattice("Z2"), EPS, trials=100_000, rng=rng)
 print(f"\nZ2 sandwich at eps={EPS}:")
 print(f"  lower  {report['lower']:.4f}")
-print(f"  middle {report['mid']:.4f}  (measured err_inv)")
+print(f"  middle {report['mid']:.4f}  (err_inv)")
 print(f"  upper  {report['upper']:.4f}")
 print(f"  ordering holds: {report['ok']}")

@@ -17,7 +17,7 @@ from scipy import special
 from .errors import InvalidParams, NonPositive
 from .lattices import Lattice, dual
 from .measures import smoothing_parameter
-from .montecarlo import inverse_error_function
+from .montecarlo import find_err_inv
 from .rng import RngStream
 
 EXCLUDED_TERMS = "O(log n / n) corrections omitted"
@@ -119,8 +119,9 @@ def cdlp_sandwich(lat: Lattice, eps, trials=400_000, *, rng: RngStream) -> dict:
     """Smoothing-parameter sandwich around the inverse error function.
 
     eta_{eps/(1-eps)}(dual) <= err_inv_eps(lat) <= 2 eta_eps(dual); the
-    middle term is Monte Carlo to a relative 1e-3, so ok allows its
-    CI-scale slack on both comparisons.
+    middle term is find_err_inv: exact on Zn, Dn and E8, Monte Carlo to a
+    relative 1e-3 elsewhere, so ok allows that CI-scale slack on both
+    comparisons.
     """
     if not 0.0 < eps < 0.5:
         raise InvalidParams("eps must be in (0, 0.5)")
@@ -128,7 +129,7 @@ def cdlp_sandwich(lat: Lattice, eps, trials=400_000, *, rng: RngStream) -> dict:
     lower = smoothing_parameter(d, eps / (1.0 - eps)).s
     upper = 2.0 * smoothing_parameter(d, eps).s
     tol = 1e-3
-    mid = inverse_error_function(lat, eps, trials=trials, tol=tol, rng=rng)
+    mid = find_err_inv(lat, eps, trials=trials, tol=tol, rng=rng)
     slack = 3.0 * tol * mid
     ok = (lower - slack <= mid <= upper + slack)
     return {"lower": lower, "mid": mid, "upper": upper, "ok": ok}

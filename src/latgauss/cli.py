@@ -47,7 +47,7 @@ from .montecarlo import (
     chernoff_power_check,
     converse_experiment,
     discrete_sampling_suite,
-    inverse_error_function,
+    find_err_inv,
     markov_error_suite,
     negative_moment_check,
     sampling_lemma_suite,
@@ -261,8 +261,7 @@ def cmd_simulate(ns):
     root = RngStream(ns.seed)
     err_inv = None
     if ns.scale is None:
-        err_inv = inverse_error_function(lat, ns.eps, trials=ns.inv_trials,
-                                         rng=root.child(1))
+        err_inv = find_err_inv(lat, ns.eps, trials=ns.inv_trials, rng=root.child(1))
     config = _build_codec(ns, lat, params, err_inv, modes)
     res = transmission_experiment(config, ns.trials, root.child(2),
                                   keep_err=bool(ns.csv))
@@ -295,8 +294,7 @@ def cmd_sweep(ns):
     lat = parse_lattice(ns.lattice)
     modes = (*parse_dither(ns.dither), *parse_peak(ns.peak))  # before any work
     root = RngStream(ns.seed)
-    err_inv = inverse_error_function(lat, ns.eps, trials=ns.inv_trials,
-                                     rng=root.child(1))
+    err_inv = find_err_inv(lat, ns.eps, trials=ns.inv_trials, rng=root.child(1))
     lines = ["snr,scale,p_err,ci_lo,ci_hi,avg_power,rate_proxy"]
     for i, snr in enumerate(ns.snr_grid):
         config = _build_codec(ns, lat, channel_params(1.0, 1.0 / snr), err_inv,
@@ -590,10 +588,12 @@ def build_parser():
                    help="transmissions to simulate (default 100000)")
     p.add_argument("--scale", type=float,
                    help="fix the lattice scale directly, skipping the "
-                        "Monte Carlo inversion of the error curve")
+                        "inversion of the error curve")
     p.add_argument("--inv-trials", type=int, default=200_000,
-                   help="samples in the first rung of the error-curve "
-                        "inversion (default 200000)")
+                   help="samples in the first rung of the sampled "
+                        "error-curve inversion, read only for lattices "
+                        "outside Zn/Dn/E8 or for E8 at eps < 1e-6 "
+                        "(default 200000)")
     p.add_argument("--csv", metavar="FILE",
                    help="also write a per-trial CSV (columns: trial index, "
                         "error indicator)")
@@ -619,8 +619,10 @@ def build_parser():
     p.add_argument("--trials", type=int, default=20_000,
                    help="transmissions per grid point (default 20000)")
     p.add_argument("--inv-trials", type=int, default=200_000,
-                   help="samples in the first rung of the error-curve "
-                        "inversion (default 200000)")
+                   help="samples in the first rung of the sampled "
+                        "error-curve inversion, read only for lattices "
+                        "outside Zn/Dn/E8 or for E8 at eps < 1e-6 "
+                        "(default 200000)")
     p.add_argument("--csv", metavar="FILE",
                    help="write the table here instead of stdout")
     p.set_defaults(func=cmd_sweep)
@@ -676,8 +678,10 @@ def build_parser():
     p.add_argument("--lattices", type=_str_list,
                    help="comma-separated lattice specs for sandwich reports")
     p.add_argument("--inv-trials", type=int, default=400_000,
-                   help="samples in the first rung of the error-curve "
-                        "inversion (default 400000)")
+                   help="samples in the first rung of the sampled "
+                        "error-curve inversion, read only for lattices "
+                        "outside Zn/Dn/E8 or for E8 at eps < 1e-6 "
+                        "(default 400000)")
     p.add_argument("--csv", metavar="FILE",
                    help="write the table here instead of stdout")
     p.set_defaults(func=cmd_analyze)

@@ -1,8 +1,8 @@
 """Seeded statistical verification harness.
 
-Estimators for the quantities the closed forms cannot reach (the inverse
-error function, read off the critical scales at which Gaussian noise escapes
-the Voronoi cell, and per-dither error rates) plus the verification suites
+The inverse error function (exact on Zn, Dn and E8, elsewhere read off the
+critical scales at which Gaussian noise escapes the Voronoi cell), estimators
+for per-dither error rates, and the verification suites
 that check the distributional lemmas and the end-to-end theorem at desk
 scale.
 
@@ -56,6 +56,7 @@ from .sampling import (
 )
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+SQRT2 = math.sqrt(2.0)
 TWO_PI_E = 2 * math.pi * math.e
 
 
@@ -251,6 +252,67 @@ def inverse_error_function(lat: Lattice, eps, trials=200_000, tol=1e-3, *,
         rung += 1
 
 
+def _dn_err_inv(n, eps):
+    """err_inv of D_n: the root of 1 - G_n(s) = eps, by bisection.
+
+    The critical scale is a(1) + a(2), the two largest |z_i|, so with the
+    half-normal density f and CDF F, G_n(s) = F(s/2)^n + n int_{s/2}^{s}
+    f(m) F(s-m)^(n-1) dm (64-node Gauss-Legendre). F(s/2)^n <= G_n(s) <=
+    F(s)^n brackets the root in [z/2, z], z = zn_err_inv(n, eps).
+    """
+    x, w = np.polynomial.legendre.leggauss(64)
+    hi = zn_err_inv(n, eps)
+    lo = hi / 2
+    for _ in range(64):
+        s = (lo + hi) / 2
+        m = s * (0.75 + 0.25 * x)
+        tail = float(np.dot(w, np.exp(-m * m / 2) * special.erf((s - m) / SQRT2) ** (n - 1)))
+        g = special.erf(s / (2 * SQRT2)) ** n + n * s / 4 * math.sqrt(2 / math.pi) * tail
+        lo, hi = (s, hi) if 1.0 - g > eps else (lo, s)
+    return (lo + hi) / 2
+
+
+# err_inv(E8, eps) = chebval(t, _E8_ERR_INV), t the affine map of
+# v = sqrt(-log eps) from [sqrt(log 2), sqrt(log 1e6)] onto [-1, 1]: eps in
+# [1e-6, 0.5]. Built by exact quadrature with tools/e8_err_inv_table.py.
+_E8_ERR_INV = (
+    5.683152649267396, 2.433559835319172, 0.018135150253078547,
+    0.012316717821823753, -0.0036310436420045967, 0.0008730198147528875,
+    -0.0002831747005691596, 8.695045410431364e-05, -2.4870403351279268e-05,
+    7.755811154599554e-06, -2.471431986526289e-06, 7.70905637241089e-07,
+    -2.4647100266530827e-07, 8.014904343582748e-08, -2.5988121370021115e-08,
+    8.493973449676083e-09, -2.80543367704132e-09, 9.258337315747232e-10,
+    -3.096205542202389e-10, 1.0133450366758636e-10, -3.586485369380835e-11,
+    1.0261105229992918e-11, -5.150605105911684e-12, 7.37475731712023e-14,
+    -1.67843062625072e-12, -9.76181689121237e-13, -9.267080291525104e-13,
+    -4.655868588644744e-13,
+)
+_E8_V = (math.sqrt(math.log(2.0)), math.sqrt(math.log(1e6)))
+
+
+def find_err_inv(lat: Lattice, eps, *, rng: RngStream, trials=200_000,
+                 tol=1e-3) -> float:
+    """err_inv(lat, eps): exact on the families, sampled elsewhere.
+
+    Scaled Z^n has the closed form, D_n a quadrature root and E8 (eps in
+    [1e-6, 0.5]) the shipped Chebyshev table, each divided by the family
+    scale. Every other lattice, and E8 below 1e-6, goes to
+    inverse_error_function(lat, eps, trials, tol, rng=rng).
+    """
+    if not (0 < eps <= 0.5):
+        raise InvalidParams("eps must be in (0, 0.5]")
+    name, c = lat.family or (None, 1.0)
+    if name == "Zn":
+        return zn_err_inv(lat.n, eps, c)
+    if name == "Dn":
+        return _dn_err_inv(lat.n, eps) / c
+    if name == "E8" and eps >= 1e-6:
+        v = math.sqrt(-math.log(eps))
+        t = (2 * v - _E8_V[0] - _E8_V[1]) / (_E8_V[1] - _E8_V[0])
+        return float(np.polynomial.chebyshev.chebval(t, _E8_ERR_INV)) / c
+    return inverse_error_function(lat, eps, trials, tol, rng=rng)
+
+
 def dither_audit(config: CodecConfig, t, eps, trials, rng: RngStream) -> DitherAudit:
     """Measure one dither against the four goodness events, on its law as one
     measures.coset_blocks row at tail 1e-12 (draws child 0, noise child 1)."""
@@ -294,7 +356,7 @@ def theorem1_suite(lat: Lattice, eps, snr, dithers=100, trials=2000, *,
         raise InvalidParams(f"dithers must be at least 1, got {dithers}")
     params = channel_params(1.0, 1.0 / snr)
     if err_inv is None:
-        err_inv = inverse_error_function(lat, eps, rng=rng.child(0))
+        err_inv = find_err_inv(lat, eps, rng=rng.child(0))
     scale = err_inv * params.sigma_eff
     config = codec_config(lat, scale, params, dither="cont")
     audits = []

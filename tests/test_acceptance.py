@@ -158,8 +158,9 @@ def test_criterion_06_low_snr_converse():
 
 def test_criterion_07_smoothing_sandwich():
     # eps 0.05: on Z the sandwich ends match their closed-form targets and
-    # the Monte Carlo middle lands within 1e-2 of the known inverse error
-    # function; Z2 and E8 must report a consistent bracket
+    # the middle (exact on Zn, Dn and E8, Monte Carlo elsewhere) lands
+    # within 1e-2 of the known inverse error function; Z2 and E8 must
+    # report a consistent bracket
     z = cdlp_sandwich(standard_lattice("Z"), 0.05, trials=200_000,
                       rng=RngStream(95))
     z_ok = (

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import latgauss.cli as cli
+import latgauss.montecarlo as montecarlo
 from latgauss.lattices import standard_lattice
 
 
@@ -142,11 +143,18 @@ def test_verify_rejects_flags_the_suite_does_not_read(tmp_path, capsys):
     assert "does not read --sigma-w;" in capsys.readouterr().err
 
 
-def test_sweep_checks_the_grid_before_any_work(monkeypatch, capsys):
+def _forbid_inversion(monkeypatch):
+    # the front door and the sampled inversion behind it: D4 reaches only
+    # the front door, a lattice outside the families both
     def inversion(*args, **kwargs):
-        raise AssertionError("inverse_error_function was called")
+        raise AssertionError("the error curve was inverted")
 
-    monkeypatch.setattr(cli, "inverse_error_function", inversion)
+    monkeypatch.setattr(cli, "find_err_inv", inversion)
+    monkeypatch.setattr(montecarlo, "inverse_error_function", inversion)
+
+
+def test_sweep_checks_the_grid_before_any_work(monkeypatch, capsys):
+    _forbid_inversion(monkeypatch)
     assert cli.run(["sweep", "--lattice", "D4", "--snr-grid", "1,0"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -160,10 +168,7 @@ def test_sweep_checks_the_grid_before_any_work(monkeypatch, capsys):
     ["sweep", "--lattice", "D4", "--snr-grid", "1", "--peak", "bogus"],
 ], ids=["simulate-dither", "simulate-peak", "sweep-dither", "sweep-peak"])
 def test_modes_are_parsed_before_the_inversion(argv, monkeypatch, capsys):
-    def inversion(*args, **kwargs):
-        raise AssertionError("inverse_error_function was called")
-
-    monkeypatch.setattr(cli, "inverse_error_function", inversion)
+    _forbid_inversion(monkeypatch)
     assert cli.run(argv + ["--trials", "100"]) == 2
     out, err = capsys.readouterr()
     assert out == ""

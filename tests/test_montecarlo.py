@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from latgauss.montecarlo import (
     discrete_sampling_suite,
     dither_audit,
     effective_noise_tail_check,
+    find_err_inv,
     inverse_error_function,
     markov_error_suite,
     mean_ci,
@@ -40,6 +43,8 @@ from latgauss.montecarlo import (
 )
 from latgauss.rng import RngStream
 from latgauss.sampling import sample_normal
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 Z = standard_lattice("Z")
 Z4 = standard_lattice("Z4")
@@ -216,6 +221,107 @@ def test_inverse_error_function_sizes_one_rung_on_e8(monkeypatch):
                                  rng=RngStream(1))
     assert sum(c[1] for c in calls) <= 7_000_000
     assert got == pytest.approx(4.7625, rel=2e-3)
+
+
+EPS_GRID = (0.01, 0.05, 0.2)
+
+
+def test_find_err_inv_on_d2_is_rotated_z2():
+    # D2 is sqrt(2) Z2 rotated, so its Dn quadrature root has a closed form
+    d2 = standard_lattice("D2")
+    for eps in EPS_GRID:
+        got = find_err_inv(d2, eps, rng=RngStream(1))
+        assert abs(got - zn_err_inv(2, eps) / math.sqrt(2)) <= 1e-12
+
+
+def test_find_err_inv_on_zn_is_the_closed_form():
+    for name in ("Z", "Z4", "Z16"):
+        lat = scale_lattice(standard_lattice(name), 3.0)
+        for eps in EPS_GRID:
+            assert find_err_inv(lat, eps, rng=RngStream(1)) == zn_err_inv(lat.n, eps, 3.0)
+
+
+@pytest.mark.parametrize("name", ["Z4", "D4", "D16", "E8"])
+def test_find_err_inv_divides_by_the_scale(name):
+    lat = standard_lattice(name)
+    base = find_err_inv(lat, 0.05, rng=RngStream(1))
+    for c in (2.0, -0.5):
+        assert find_err_inv(scale_lattice(lat, c), 0.05, rng=RngStream(1)) == base / abs(c)
+
+
+@pytest.mark.parametrize("name", ["D4", "D8", "D16", "E8"])
+def test_find_err_inv_lies_within_the_sampled_estimate(name):
+    # the sampled estimate stops once its 99% interval is narrower than
+    # tol q, so the exact value must sit within tol q of it
+    lat = standard_lattice(name)
+    for i, eps in enumerate(EPS_GRID):
+        q = inverse_error_function(lat, eps, trials=50_000, tol=1e-2,
+                                   rng=RngStream(71).child(i))
+        assert abs(find_err_inv(lat, eps, rng=RngStream(1)) - q) <= 1e-2 * q
+
+
+def test_shipped_e8_table_matches_the_quadrature():
+    import e8_err_inv_table as e8_table
+
+    e8 = standard_lattice("E8")
+    for eps in EPS_GRID:
+        s = find_err_inv(e8, eps, rng=RngStream(1))
+        assert abs(1.0 - e8_table.e8_cdf(s) - eps) <= 1e-9
+    assert find_err_inv(e8, 0.05, rng=RngStream(1)) == pytest.approx(4.762617261, abs=1e-8)
+
+
+def test_find_err_inv_guards():
+    for eps in (0.0, 0.7):
+        for name in ("Z", "D4", "E8", "A2"):
+            with pytest.raises(InvalidParams):
+                find_err_inv(standard_lattice(name), eps, rng=RngStream(1))
+
+
+def _forbid_sampling(monkeypatch):
+    def sampled(*args, **kwargs):
+        raise AssertionError("the error curve was sampled")
+
+    monkeypatch.setattr(montecarlo, "inverse_error_function", sampled)
+    monkeypatch.setattr(montecarlo, "_critical_scales", sampled)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--lattice", "Z16", "--snr", "1", "--trials", "2000"],
+    ["sweep", "--lattice", "D4", "--snr-grid", "1", "--trials", "500"],
+    ["verify", "--suite", "theorem1", "--lattice", "E8", "--dithers", "2",
+     "--trials", "100"],
+    ["verify", "--suite", "markov", "--lattice", "E8", "--dithers", "2",
+     "--trials", "100"],
+], ids=["simulate-Z16", "sweep-D4", "theorem1-E8", "markov-E8"])
+def test_families_never_sample_the_error_curve(argv, monkeypatch, capsys):
+    import latgauss.cli as cli
+
+    _forbid_sampling(monkeypatch)
+    assert cli.run(argv + ["--seed", "5"]) == 0
+    capsys.readouterr()
+
+
+def test_cdlp_sandwich_never_samples_on_e8(monkeypatch):
+    from latgauss.analysis import cdlp_sandwich
+
+    _forbid_sampling(monkeypatch)
+    got = cdlp_sandwich(standard_lattice("E8"), 0.05, rng=RngStream(5))
+    assert got["mid"] == find_err_inv(standard_lattice("E8"), 0.05, rng=RngStream(1))
+    assert got["ok"]
+
+
+@pytest.mark.parametrize("name,eps", [("A2", 0.05), ("E8", 1e-7)])
+def test_find_err_inv_samples_outside_the_families(name, eps, monkeypatch):
+    calls = []
+
+    def sampled(lat, eps, trials, tol, *, rng):
+        calls.append((lat, eps, trials, tol, rng))
+        return 1.25
+
+    monkeypatch.setattr(montecarlo, "inverse_error_function", sampled)
+    lat, rng = standard_lattice(name), RngStream(3)
+    assert find_err_inv(lat, eps, rng=rng, trials=1000, tol=2e-2) == 1.25
+    assert calls == [(lat, eps, 1000, 2e-2, rng)]
 
 
 @pytest.mark.parametrize(
