@@ -129,7 +129,7 @@ def cdlp_sandwich(lat: Lattice, eps, trials=400_000, *, rng: RngStream) -> dict:
     lower = smoothing_parameter(d, eps / (1.0 - eps)).s
     upper = 2.0 * smoothing_parameter(d, eps).s
     tol = 1e-3
-    mid = find_err_inv(lat, eps, trials=trials, tol=tol, rng=rng)
+    mid = find_err_inv(lat, eps, trials=trials, rng=rng)
     slack = 3.0 * tol * mid
     ok = (lower - slack <= mid <= upper + slack)
     return {"lower": lower, "mid": mid, "upper": upper, "ok": ok}

@@ -592,7 +592,7 @@ def build_parser():
     p.add_argument("--inv-trials", type=int, default=200_000,
                    help="samples in the first rung of the sampled "
                         "error-curve inversion, read only for lattices "
-                        "outside Zn/Dn/E8 or for E8 at eps < 1e-6 "
+                        "outside Zn/Dn/E8 or for Dn/E8 at eps < 1e-6 "
                         "(default 200000)")
     p.add_argument("--csv", metavar="FILE",
                    help="also write a per-trial CSV (columns: trial index, "
@@ -621,7 +621,7 @@ def build_parser():
     p.add_argument("--inv-trials", type=int, default=200_000,
                    help="samples in the first rung of the sampled "
                         "error-curve inversion, read only for lattices "
-                        "outside Zn/Dn/E8 or for E8 at eps < 1e-6 "
+                        "outside Zn/Dn/E8 or for Dn/E8 at eps < 1e-6 "
                         "(default 200000)")
     p.add_argument("--csv", metavar="FILE",
                    help="write the table here instead of stdout")
@@ -680,7 +680,7 @@ def build_parser():
     p.add_argument("--inv-trials", type=int, default=400_000,
                    help="samples in the first rung of the sampled "
                         "error-curve inversion, read only for lattices "
-                        "outside Zn/Dn/E8 or for E8 at eps < 1e-6 "
+                        "outside Zn/Dn/E8 or for Dn/E8 at eps < 1e-6 "
                         "(default 400000)")
     p.add_argument("--csv", metavar="FILE",
                    help="write the table here instead of stdout")

@@ -130,8 +130,12 @@ def mean_ci(values, seed=0, pad=0.0) -> CIEstimate:
 
 
 def zn_err_inv(n, eps, scale=1.0):
-    """Closed-form inverse error function for scale * Z^n."""
-    p = (1.0 - (1.0 - eps) ** (1.0 / n)) / 2.0
+    """Closed-form inverse error function for scale * Z^n.
+
+    The tail 1 - (1 - eps)^(1/n) is taken in complement form, so it stays
+    exact where (1 - eps)^(1/n) would round to 1.
+    """
+    p = -math.expm1(math.log1p(-eps) / n) / 2.0
     return -2.0 * float(special.ndtri(p)) / scale
 
 
@@ -272,9 +276,13 @@ def _dn_err_inv(n, eps):
     return (lo + hi) / 2
 
 
+# Below this eps the D_n root reads 1 - G_n(s) off rounding error and the E8
+# table ends, so both go to inverse_error_function.
+_EXACT_EPS = 1e-6
+
 # err_inv(E8, eps) = chebval(t, _E8_ERR_INV), t the affine map of
 # v = sqrt(-log eps) from [sqrt(log 2), sqrt(log 1e6)] onto [-1, 1]: eps in
-# [1e-6, 0.5]. Built by exact quadrature with tools/e8_err_inv_table.py.
+# [_EXACT_EPS, 0.5]. Built by exact quadrature with tools/e8_err_inv_table.py.
 _E8_ERR_INV = (
     5.683152649267396, 2.433559835319172, 0.018135150253078547,
     0.012316717821823753, -0.0036310436420045967, 0.0008730198147528875,
@@ -290,27 +298,26 @@ _E8_ERR_INV = (
 _E8_V = (math.sqrt(math.log(2.0)), math.sqrt(math.log(1e6)))
 
 
-def find_err_inv(lat: Lattice, eps, *, rng: RngStream, trials=200_000,
-                 tol=1e-3) -> float:
+def find_err_inv(lat: Lattice, eps, *, rng: RngStream, trials=200_000) -> float:
     """err_inv(lat, eps): exact on the families, sampled elsewhere.
 
-    Scaled Z^n has the closed form, D_n a quadrature root and E8 (eps in
-    [1e-6, 0.5]) the shipped Chebyshev table, each divided by the family
-    scale. Every other lattice, and E8 below 1e-6, goes to
-    inverse_error_function(lat, eps, trials, tol, rng=rng).
+    Scaled Z^n has the closed form, and for eps in [1e-6, 0.5] D_n a
+    quadrature root and E8 the shipped Chebyshev table, each divided by the
+    family scale. Every other lattice, and D_n and E8 below 1e-6, goes to
+    inverse_error_function(lat, eps, trials, rng=rng).
     """
     if not (0 < eps <= 0.5):
         raise InvalidParams("eps must be in (0, 0.5]")
     name, c = lat.family or (None, 1.0)
     if name == "Zn":
         return zn_err_inv(lat.n, eps, c)
-    if name == "Dn":
+    if name == "Dn" and eps >= _EXACT_EPS:
         return _dn_err_inv(lat.n, eps) / c
-    if name == "E8" and eps >= 1e-6:
+    if name == "E8" and eps >= _EXACT_EPS:
         v = math.sqrt(-math.log(eps))
         t = (2 * v - _E8_V[0] - _E8_V[1]) / (_E8_V[1] - _E8_V[0])
         return float(np.polynomial.chebyshev.chebval(t, _E8_ERR_INV)) / c
-    return inverse_error_function(lat, eps, trials, tol, rng=rng)
+    return inverse_error_function(lat, eps, trials, rng=rng)
 
 
 def dither_audit(config: CodecConfig, t, eps, trials, rng: RngStream) -> DitherAudit:

@@ -1,5 +1,4 @@
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +42,6 @@ from latgauss.montecarlo import (
 )
 from latgauss.rng import RngStream
 from latgauss.sampling import sample_normal
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 Z = standard_lattice("Z")
 Z4 = standard_lattice("Z4")
@@ -98,7 +95,9 @@ def test_zn_err_inv_closed_form():
     assert zn_err_inv(4, 0.05) == pytest.approx(2 * float(stats.norm.isf(p)), rel=1e-14)
     for n in (1, 2, 8, 16, 64):
         for eps in (1e-6, 1e-3, 0.01, 0.05, 0.2, 0.5):
-            p = (1 - (1 - eps) ** (1 / n)) / 2
+            # 1 - (1 - eps)^(1/n) in complement form: computed directly it
+            # loses about 1e-10 of p to rounding at n = 64, eps = 1e-6
+            p = -math.expm1(math.log1p(-eps) / n) / 2
             assert zn_err_inv(n, eps, 0.5) == pytest.approx(4 * float(stats.norm.isf(p)),
                                                            rel=1e-14)
 
@@ -234,6 +233,23 @@ def test_find_err_inv_on_d2_is_rotated_z2():
         assert abs(got - zn_err_inv(2, eps) / math.sqrt(2)) <= 1e-12
 
 
+@pytest.mark.parametrize("name,want", [
+    ("D4", 3.9215091138), ("D8", 4.5286741327), ("D16", 5.0590624953),
+])
+def test_find_err_inv_on_dn_matches_an_independent_quadrature(name, want):
+    # roots at eps 0.05 of 1 - G_n(s) by scipy.integrate.quad and brentq
+    got = find_err_inv(standard_lattice(name), 0.05, rng=RngStream(1))
+    assert abs(got - want) <= 1e-9
+
+
+def test_zn_err_inv_holds_where_one_minus_eps_rounds_to_one():
+    eps = 1e-17
+    s = find_err_inv(Z4, eps, rng=RngStream(1))
+    p = math.erfc(s / (2 * math.sqrt(2)))
+    assert math.isfinite(s)
+    assert -math.expm1(4 * math.log1p(-p)) == pytest.approx(eps, rel=1e-9)
+
+
 def test_find_err_inv_on_zn_is_the_closed_form():
     for name in ("Z", "Z4", "Z16"):
         lat = scale_lattice(standard_lattice(name), 3.0)
@@ -260,7 +276,8 @@ def test_find_err_inv_lies_within_the_sampled_estimate(name):
         assert abs(find_err_inv(lat, eps, rng=RngStream(1)) - q) <= 1e-2 * q
 
 
-def test_shipped_e8_table_matches_the_quadrature():
+def test_shipped_e8_table_matches_the_quadrature(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     import e8_err_inv_table as e8_table
 
     e8 = standard_lattice("E8")
@@ -310,18 +327,20 @@ def test_cdlp_sandwich_never_samples_on_e8(monkeypatch):
     assert got["ok"]
 
 
-@pytest.mark.parametrize("name,eps", [("A2", 0.05), ("E8", 1e-7)])
+@pytest.mark.parametrize("name,eps", [
+    ("A2", 0.05), ("E8", 1e-7), ("D4", 9.9e-7), ("D4", 1e-17), ("E8", 1e-17),
+])
 def test_find_err_inv_samples_outside_the_families(name, eps, monkeypatch):
     calls = []
 
-    def sampled(lat, eps, trials, tol, *, rng):
+    def sampled(lat, eps, trials, tol=1e-3, *, rng):
         calls.append((lat, eps, trials, tol, rng))
         return 1.25
 
     monkeypatch.setattr(montecarlo, "inverse_error_function", sampled)
     lat, rng = standard_lattice(name), RngStream(3)
-    assert find_err_inv(lat, eps, rng=rng, trials=1000, tol=2e-2) == 1.25
-    assert calls == [(lat, eps, 1000, 2e-2, rng)]
+    assert find_err_inv(lat, eps, rng=rng, trials=1000) == 1.25
+    assert calls == [(lat, eps, 1000, 1e-3, rng)]
 
 
 @pytest.mark.parametrize(
