@@ -42,7 +42,7 @@ print(f"\nrandom mod-127 lattices, n=4, V=16, sigma=1: mean f_sigma(L) "
 # Sandwich check: dual-smoothing lower bound <= inverse error function
 # <= twice the dual smoothing, on Z2 (the closed form of Z^n).
 rng = RngStream(7)
-report = analysis.cdlp_sandwich(standard_lattice("Z2"), EPS, trials=100_000, rng=rng)
+report = analysis.cdlp_sandwich(standard_lattice("Z2"), EPS, rng=rng)
 print(f"\nZ2 sandwich at eps={EPS}:")
 print(f"  lower  {report['lower']:.4f}")
 print(f"  middle {report['mid']:.4f}  (err_inv)")

@@ -1,7 +1,8 @@
 """Closed-form rate calculators and cross-checks against sampled quantities.
 
-Finite-blocklength normal approximations, the shaping theorem's rate gap,
-the smoothing-parameter sandwich around the inverse error function, and the
+Finite-blocklength normal approximations, the capacity and the shaping
+theorem's rate gap (both defined in `codec` and re-exported here), the
+smoothing-parameter sandwich around the inverse error function, and the
 dithering-rate bound. The blocklength formulas deliberately omit
 O(log n / n) correction terms; every report says so.
 """
@@ -14,6 +15,7 @@ from typing import Optional
 
 from scipy import special
 
+from .codec import capacity, theorem1_gap
 from .errors import InvalidParams, NonPositive
 from .lattices import Lattice, dual
 from .measures import smoothing_parameter
@@ -21,13 +23,6 @@ from .montecarlo import find_err_inv
 from .rng import RngStream
 
 EXCLUDED_TERMS = "O(log n / n) corrections omitted"
-
-
-def capacity(snr) -> float:
-    """AWGN capacity (1/2) log(1 + snr), nats per dimension."""
-    if not snr > 0:
-        raise NonPositive("snr must be positive")
-    return 0.5 * math.log1p(snr)
 
 
 def dispersion(snr) -> float:
@@ -63,13 +58,6 @@ def max_nld(sigma) -> float:
     if not sigma > 0:
         raise NonPositive("sigma must be positive")
     return -0.5 * math.log(2.0 * math.pi * math.e * sigma**2)
-
-
-def theorem1_gap(gamma, n) -> float:
-    """Rate gap (1/2) log gamma + 2/sqrt(n) + 4/n of the shaping theorem."""
-    if not gamma > 0 or not n >= 1:
-        raise InvalidParams("need gamma > 0 and n >= 1")
-    return 0.5 * math.log(gamma) + 2.0 / math.sqrt(n) + 4.0 / n
 
 
 def finite_blocklength(snr, n, eps, gamma=None, sigma=None
@@ -115,21 +103,21 @@ def dither_rate_bound(snr) -> dict:
     return {"bound": max(0.0, raw), "no_dither_needed": raw <= 0.0}
 
 
-def cdlp_sandwich(lat: Lattice, eps, trials=400_000, *, rng: RngStream) -> dict:
+def cdlp_sandwich(lat: Lattice, eps, *, rng: RngStream) -> dict:
     """Smoothing-parameter sandwich around the inverse error function.
 
     eta_{eps/(1-eps)}(dual) <= err_inv_eps(lat) <= 2 eta_eps(dual); the
-    middle term is find_err_inv: exact on Zn, Dn and E8, Monte Carlo to a
+    middle term, found first, is find_err_inv: exact on Zn, Dn and E8 (which
+    refuse eps below 1e-6 before any smoothing work), Monte Carlo to a
     relative 1e-3 elsewhere, so ok allows that CI-scale slack on both
     comparisons.
     """
     if not 0.0 < eps < 0.5:
         raise InvalidParams("eps must be in (0, 0.5)")
+    mid = find_err_inv(lat, eps, rng=rng)
     d = dual(lat)
     lower = smoothing_parameter(d, eps / (1.0 - eps)).s
     upper = 2.0 * smoothing_parameter(d, eps).s
-    tol = 1e-3
-    mid = find_err_inv(lat, eps, trials=trials, rng=rng)
-    slack = 3.0 * tol * mid
+    slack = 3e-3 * mid  # three times inverse_error_function's default tol
     ok = (lower - slack <= mid <= upper + slack)
     return {"lower": lower, "mid": mid, "upper": upper, "ok": ok}

@@ -261,11 +261,10 @@ def cmd_simulate(ns):
     root = RngStream(ns.seed)
     err_inv = None
     if ns.scale is None:
-        err_inv = find_err_inv(lat, ns.eps, trials=ns.inv_trials, rng=root.child(1))
+        err_inv = find_err_inv(lat, ns.eps, rng=root.child(1))
     config = _build_codec(ns, lat, params, err_inv, modes)
-    res = transmission_experiment(config, ns.trials, root.child(2),
-                                  keep_err=bool(ns.csv))
-    err = res.pop("err", None)
+    res = transmission_experiment(config, ns.trials, root.child(2))
+    err = res.pop("err")
     if ns.csv:
         rows = ["trial,error"]
         rows += [f"{i},{int(e)}" for i, e in enumerate(err)]
@@ -294,7 +293,7 @@ def cmd_sweep(ns):
     lat = parse_lattice(ns.lattice)
     modes = (*parse_dither(ns.dither), *parse_peak(ns.peak))  # before any work
     root = RngStream(ns.seed)
-    err_inv = find_err_inv(lat, ns.eps, trials=ns.inv_trials, rng=root.child(1))
+    err_inv = find_err_inv(lat, ns.eps, rng=root.child(1))
     lines = ["snr,scale,p_err,ci_lo,ci_hi,avg_power,rate_proxy"]
     for i, snr in enumerate(ns.snr_grid):
         config = _build_codec(ns, lat, channel_params(1.0, 1.0 / snr), err_inv,
@@ -431,11 +430,10 @@ def cmd_analyze(ns):
             if ns.gamma is not None:
                 row.append(rep.theorem1_gap)
             lines.append(",".join(_fmt(v) for v in row))
+    # every sandwich before any output, so a refused lattice prints nothing
+    sandwich = {spec: cdlp_sandwich(lat, ns.eps, rng=root.child(50 + i))
+                for i, (spec, lat) in enumerate(lats)}
     _emit_csv(lines, ns.csv, ns)
-    sandwich = {}
-    for i, (spec, lat) in enumerate(lats):
-        sandwich[spec] = cdlp_sandwich(lat, ns.eps, trials=ns.inv_trials,
-                                       rng=root.child(50 + i))
     if ns.csv or sandwich:
         _print_json({"eps": ns.eps, "sandwich": sandwich}, ns)
     return 1 if any(not v["ok"] for v in sandwich.values()) else 0
@@ -577,7 +575,8 @@ def build_parser():
     p.add_argument("--sigma-w2", type=float,
                    help="noise power per dimension (channel units squared)")
     p.add_argument("--eps", type=float, default=0.05,
-                   help="target error probability (default 0.05)")
+                   help="target error probability (default 0.05); on Dn "
+                        "and E8 it must lie in [1e-6, 0.5]")
     p.add_argument("--dither", default="cont",
                    help="none | cont | discrete:<lattice> (default cont)")
     p.add_argument("--peak", default="off",
@@ -589,11 +588,6 @@ def build_parser():
     p.add_argument("--scale", type=float,
                    help="fix the lattice scale directly, skipping the "
                         "inversion of the error curve")
-    p.add_argument("--inv-trials", type=int, default=200_000,
-                   help="samples in the first rung of the sampled "
-                        "error-curve inversion, read only for lattices "
-                        "outside Zn/Dn/E8 or for Dn/E8 at eps < 1e-6 "
-                        "(default 200000)")
     p.add_argument("--csv", metavar="FILE",
                    help="also write a per-trial CSV (columns: trial index, "
                         "error indicator)")
@@ -611,18 +605,14 @@ def build_parser():
     p.add_argument("--snr-grid", type=_float_list, required=True,
                    help="comma-separated SNR values (power ratios)")
     p.add_argument("--eps", type=float, default=0.05,
-                   help="target error probability (default 0.05)")
+                   help="target error probability (default 0.05); on Dn "
+                        "and E8 it must lie in [1e-6, 0.5]")
     p.add_argument("--dither", default="cont",
                    help="none | cont | discrete:<lattice> (default cont)")
     p.add_argument("--peak", default="off",
                    help="off | zeroize[:P] | modb:<B> (default off)")
     p.add_argument("--trials", type=int, default=20_000,
                    help="transmissions per grid point (default 20000)")
-    p.add_argument("--inv-trials", type=int, default=200_000,
-                   help="samples in the first rung of the sampled "
-                        "error-curve inversion, read only for lattices "
-                        "outside Zn/Dn/E8 or for Dn/E8 at eps < 1e-6 "
-                        "(default 200000)")
     p.add_argument("--csv", metavar="FILE",
                    help="write the table here instead of stdout")
     p.set_defaults(func=cmd_sweep)
@@ -672,16 +662,13 @@ def build_parser():
     p.add_argument("--n-grid", type=_int_list, required=True,
                    help="comma-separated dimensions")
     p.add_argument("--eps", type=float, default=0.05,
-                   help="target error probability (default 0.05)")
+                   help="target error probability (default 0.05); with "
+                        "--lattices it must lie in (0, 0.5), and on Dn and "
+                        "E8 in [1e-6, 0.5)")
     p.add_argument("--gamma", type=float,
                    help="modulation loss; adds the theorem1_gap column")
     p.add_argument("--lattices", type=_str_list,
                    help="comma-separated lattice specs for sandwich reports")
-    p.add_argument("--inv-trials", type=int, default=400_000,
-                   help="samples in the first rung of the sampled "
-                        "error-curve inversion, read only for lattices "
-                        "outside Zn/Dn/E8 or for Dn/E8 at eps < 1e-6 "
-                        "(default 400000)")
     p.add_argument("--csv", metavar="FILE",
                    help="write the table here instead of stdout")
     p.set_defaults(func=cmd_analyze)

@@ -7,11 +7,12 @@ followed by closest-point search on the shifted lattice:
 
     x_hat = t + CP(scaled, alpha*y - t),  alpha = sigma_s^2/(sigma_s^2+sigma_w^2).
 
-This module holds the channel parameters, the codec config, the dither
-draw by mode (`draw_dithers`) and the one batch transmit/decode step
-(`transmit_batch`): peak control, channel noise, decoding and the error
-indicator, one row per trial. The signal draw lives in `sampling`; the
-Monte Carlo engines in `montecarlo` compose the two.
+This module holds the channel parameters, capacity and the shaping
+theorem's rate gap, the codec config, the dither draw by mode
+(`draw_dithers`) and the one batch transmit/decode step (`transmit_batch`):
+peak control, channel noise, decoding and the error indicator, one row per
+trial. The signal draw lives in `sampling`; the Monte Carlo engines in
+`montecarlo` compose the two.
 
 Error comparisons run in integer lattice coordinates, never on floats, so a
 trial's error indicator is exact. In mod-B mode the comparison happens on
@@ -70,6 +71,20 @@ def channel_params(sigma_s2, sigma_w2) -> ChannelParams:
         alpha=alpha,
         sigma_eff2=sigma_s2 * sigma_w2 / (sigma_s2 + sigma_w2),
     )
+
+
+def capacity(snr) -> float:
+    """AWGN capacity (1/2) log(1 + snr), nats per dimension."""
+    if not snr > 0:
+        raise NonPositive("snr must be positive")
+    return 0.5 * math.log1p(snr)
+
+
+def theorem1_gap(gamma, n) -> float:
+    """Rate gap (1/2) log gamma + 2/sqrt(n) + 4/n of the shaping theorem."""
+    if not gamma > 0 or not n >= 1:
+        raise InvalidParams("need gamma > 0 and n >= 1")
+    return 0.5 * math.log(gamma) + 2.0 / math.sqrt(n) + 4.0 / n
 
 
 @dataclass(frozen=True)

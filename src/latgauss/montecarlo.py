@@ -26,9 +26,11 @@ from scipy import special
 
 from .codec import (
     CodecConfig,
+    capacity,
     channel_params,
     codec_config,
     draw_dithers,
+    theorem1_gap,
     transmit_batch,
 )
 from .errors import InternalMismatch, InvalidParams, ResolutionExceeded
@@ -129,14 +131,14 @@ def mean_ci(values, seed=0, pad=0.0) -> CIEstimate:
     return CIEstimate(p_hat=m, lo=m - half, hi=m + half, trials=n, seed=int(seed))
 
 
-def zn_err_inv(n, eps, scale=1.0):
-    """Closed-form inverse error function for scale * Z^n.
+def zn_err_inv(n, eps):
+    """Closed-form inverse error function for Z^n.
 
     The tail 1 - (1 - eps)^(1/n) is taken in complement form, so it stays
     exact where (1 - eps)^(1/n) would round to 1.
     """
     p = -math.expm1(math.log1p(-eps) / n) / 2.0
-    return -2.0 * float(special.ndtri(p)) / scale
+    return -2.0 * float(special.ndtri(p))
 
 
 def _facet_candidates(lat):
@@ -235,7 +237,7 @@ def inverse_error_function(lat: Lattice, eps, trials=200_000, tol=1e-3, *,
             width = (hi - lo) / q
             if hi - lo <= tol * q:
                 if lat.family is not None and lat.family[0] == "Zn":
-                    closed = zn_err_inv(lat.n, eps, lat.family[1])
+                    closed = zn_err_inv(lat.n, eps) / lat.family[1]
                     if abs(q - closed) > 5 * tol * closed:
                         raise InternalMismatch(
                             f"quantile {q} vs closed form {closed} for scaled Z^n"
@@ -250,7 +252,8 @@ def inverse_error_function(lat: Lattice, eps, trials=200_000, tol=1e-3, *,
                 f"order-statistic interval cannot reach tol at the trial cap: "
                 f"dimension {lat.n}, eps {eps}, tol {tol}, {n} rows drawn "
                 f"(max_trials), relative width (hi - lo)/q {width:.3g}; {hint}: "
-                f"raise max_trials or tol"
+                f"raise max_trials or tol; find_err_inv runs the defaults, so "
+                f"there only a larger eps needs fewer rows"
             )
         n = min(max(need, n + 1), max_trials)
         rung += 1
@@ -277,7 +280,8 @@ def _dn_err_inv(n, eps):
 
 
 # Below this eps the D_n root reads 1 - G_n(s) off rounding error and the E8
-# table ends, so both go to inverse_error_function.
+# table ends; the sampled ladder needs rows in proportion to 1/eps there (2e11
+# for E8 at 1e-7, cap 1024 x 200k), so find_err_inv refuses D_n and E8.
 _EXACT_EPS = 1e-6
 
 # err_inv(E8, eps) = chebval(t, _E8_ERR_INV), t the affine map of
@@ -298,26 +302,34 @@ _E8_ERR_INV = (
 _E8_V = (math.sqrt(math.log(2.0)), math.sqrt(math.log(1e6)))
 
 
-def find_err_inv(lat: Lattice, eps, *, rng: RngStream, trials=200_000) -> float:
+def find_err_inv(lat: Lattice, eps, *, rng: RngStream) -> float:
     """err_inv(lat, eps): exact on the families, sampled elsewhere.
 
-    Scaled Z^n has the closed form, and for eps in [1e-6, 0.5] D_n a
-    quadrature root and E8 the shipped Chebyshev table, each divided by the
-    family scale. Every other lattice, and D_n and E8 below 1e-6, goes to
-    inverse_error_function(lat, eps, trials, rng=rng).
+    Scaled Z^n has the closed form at any eps. D_n takes its quadrature root
+    and E8 the shipped Chebyshev table for eps in [1e-6, 0.5]; below that
+    both raise InvalidParams at once. Each family value is divided by the
+    family scale. Every other lattice goes to
+    inverse_error_function(lat, eps, rng=rng) at its defaults.
     """
     if not (0 < eps <= 0.5):
         raise InvalidParams("eps must be in (0, 0.5]")
-    name, c = lat.family or (None, 1.0)
+    if lat.family is None:
+        return inverse_error_function(lat, eps, rng=rng)
+    name, c = lat.family
+    if name != "Zn" and eps < _EXACT_EPS:
+        raise InvalidParams(
+            f"err_inv on the {name} family (n = {lat.n}) is exact only for eps "
+            f"in [{_EXACT_EPS:g}, 0.5], got eps {eps:g}; below that range a "
+            f"sampled estimate needs more rows than its cap")
     if name == "Zn":
-        return zn_err_inv(lat.n, eps, c)
-    if name == "Dn" and eps >= _EXACT_EPS:
-        return _dn_err_inv(lat.n, eps) / c
-    if name == "E8" and eps >= _EXACT_EPS:
+        s = zn_err_inv(lat.n, eps)
+    elif name == "Dn":
+        s = _dn_err_inv(lat.n, eps)
+    else:
         v = math.sqrt(-math.log(eps))
         t = (2 * v - _E8_V[0] - _E8_V[1]) / (_E8_V[1] - _E8_V[0])
-        return float(np.polynomial.chebyshev.chebval(t, _E8_ERR_INV)) / c
-    return inverse_error_function(lat, eps, trials, rng=rng)
+        s = float(np.polynomial.chebyshev.chebval(t, _E8_ERR_INV))
+    return s / c
 
 
 def dither_audit(config: CodecConfig, t, eps, trials, rng: RngStream) -> DitherAudit:
@@ -335,8 +347,6 @@ def dither_audit(config: CodecConfig, t, eps, trials, rng: RngStream) -> DitherA
 
     err_inv = config.scale / p.sigma_eff
     gamma = err_inv**2 * config.lattice.volume ** (2.0 / n) / TWO_PI_E
-    capacity = 0.5 * math.log1p(p.snr)
-    gap = 0.5 * math.log(gamma) + 2 / math.sqrt(n) + 4 / n
     rate = float(coset_entropy(mass, power, p.sigma_s, n)) / n
     rel_power = power / p.sigma_s2
     norm_power = rel_power / n
@@ -346,24 +356,24 @@ def dither_audit(config: CodecConfig, t, eps, trials, rng: RngStream) -> DitherA
                              trials=0, seed=rng.seed),
         pass_a=err_ci.hi <= 6 * eps,
         pass_b=abs(rel_power - n) <= 4 * math.sqrt(n),
-        pass_c=rate >= capacity - gap,
+        pass_c=rate >= capacity(p.snr) - theorem1_gap(gamma, n),
         pass_d=mass >= math.exp(-4.0) / scaled.volume,
     )
 
 
 def theorem1_suite(lat: Lattice, eps, snr, dithers=100, trials=2000, *,
-                   rng: RngStream, err_inv=None) -> dict:
+                   rng: RngStream) -> dict:
     """Audit a population of continuous dithers against all four events.
 
-    The shaping theorem promises a pass fraction of at least one half over
-    the dither measure; the suite compares against 0.5 minus three binomial
+    The code lattice is scaled by find_err_inv(lat, eps) * sigma_eff. The
+    shaping theorem promises a pass fraction of at least one half over the
+    dither measure; the suite compares against 0.5 minus three binomial
     standard errors.
     """
     if dithers < 1:
         raise InvalidParams(f"dithers must be at least 1, got {dithers}")
     params = channel_params(1.0, 1.0 / snr)
-    if err_inv is None:
-        err_inv = find_err_inv(lat, eps, rng=rng.child(0))
+    err_inv = find_err_inv(lat, eps, rng=rng.child(0))
     scale = err_inv * params.sigma_eff
     config = codec_config(lat, scale, params, dither="cont")
     audits = []
@@ -463,13 +473,13 @@ def run_trials(config: CodecConfig, t, rng: RngStream,
     return out
 
 
-def transmission_experiment(config: CodecConfig, trials, rng: RngStream,
-                            keep_err=False) -> dict:
+def transmission_experiment(config: CodecConfig, trials, rng: RngStream) -> dict:
     """Draw per-trial dithers by config mode, then run the trial engine.
 
-    Also reports a rate proxy: the exact per-dither entropy rate of the first
-    few dithers (they are exchangeable), from one batch_coset_stats call.
-    keep_err retains the per-trial indicator array for trial-by-trial logs.
+    Returns run_trials' report, the per-trial error indicators `err`
+    included, plus a rate proxy: the exact per-dither entropy rate of the
+    first few dithers (they are exchangeable), from one batch_coset_stats
+    call.
     """
     n, sigma = config.lattice.n, config.params.sigma_s
     t = draw_dithers(config, rng.child(100), trials)
@@ -477,13 +487,11 @@ def transmission_experiment(config: CodecConfig, trials, rng: RngStream,
     k = 1 if config.dither == "none" else min(8, trials)
     law = batch_coset_stats(config.scaled, t[:k], sigma, rel_tol=1e-12)
     out["rate_proxy"] = float(np.mean(coset_entropy(law["mass"], law["power"], sigma, n) / n))
-    if not keep_err:
-        del out["err"]
     return out
 
 
 def markov_error_suite(lat: Lattice, eps, snr, gammas=(2.0, 6.0), dithers=500,
-                       trials=2000, *, rng: RngStream, err_inv=None) -> dict:
+                       trials=2000, *, rng: RngStream) -> dict:
     """Markov bound on the per-dither error rate.
 
     The average error over the dither measure is at most eps by the scale
@@ -494,7 +502,7 @@ def markov_error_suite(lat: Lattice, eps, snr, gammas=(2.0, 6.0), dithers=500,
     bad = [g for g in gammas if not g >= 1]
     if bad:
         raise InvalidParams(f"gammas must be at least 1, got {bad}")
-    suite = theorem1_suite(lat, eps, snr, dithers, trials, rng=rng, err_inv=err_inv)
+    suite = theorem1_suite(lat, eps, snr, dithers, trials, rng=rng)
     rates = np.array([a.err_rate.p_hat for a in suite["audits"]])
     report = {"err_inv": suite["err_inv"], "gammas": {}, "pass": True,
               "mean_rate": float(rates.mean())}

@@ -161,18 +161,15 @@ def test_criterion_07_smoothing_sandwich():
     # the middle (exact on Zn, Dn and E8, Monte Carlo elsewhere) lands
     # within 1e-2 of the known inverse error function; Z2 and E8 must
     # report a consistent bracket
-    z = cdlp_sandwich(standard_lattice("Z"), 0.05, trials=200_000,
-                      rng=RngStream(95))
+    z = cdlp_sandwich(standard_lattice("Z"), 0.05, rng=RngStream(95))
     z_ok = (
         abs(z["lower"] - 2.6974) <= 1e-3
         and abs(z["mid"] - 3.9199) <= 1e-2
         and abs(z["upper"] - 5.4325) <= 1e-3
         and z["ok"]
     )
-    z2 = cdlp_sandwich(standard_lattice("Z2"), 0.05, trials=100_000,
-                       rng=RngStream(80))
-    e8 = cdlp_sandwich(standard_lattice("E8"), 0.05, trials=100_000,
-                       rng=RngStream(81))
+    z2 = cdlp_sandwich(standard_lattice("Z2"), 0.05, rng=RngStream(80))
+    e8 = cdlp_sandwich(standard_lattice("E8"), 0.05, rng=RngStream(81))
     ok = z_ok and z2["ok"] and e8["ok"]
     assert _report(
         7, ok,

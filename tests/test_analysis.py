@@ -135,8 +135,7 @@ def eta_z_brute(eps):
 
 
 def test_cdlp_sandwich_on_z():
-    got = cdlp_sandwich(standard_lattice("Z"), 0.05, trials=100_000,
-                        rng=RngStream(70))
+    got = cdlp_sandwich(standard_lattice("Z"), 0.05, rng=RngStream(70))
     # dual(Z) = Z, so both smoothing ends have brute oracles
     assert got["lower"] == pytest.approx(eta_z_brute(0.05 / 0.95), rel=1e-9)
     assert got["upper"] == pytest.approx(2 * eta_z_brute(0.05), rel=1e-9)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,16 @@ def test_analyze_checks_the_sandwich_eps_before_printing(capsys):
     assert "\nsnr,n,eps," in capsys.readouterr().out
 
 
+def test_analyze_computes_every_sandwich_before_printing(capsys):
+    # E8 below eps 1e-6 is refused by the err_inv route; the table is not
+    # printed ahead of the refusal
+    assert cli.run(["analyze", "--snr-grid", "1", "--n-grid", "100",
+                    "--lattices", "Z2,E8", "--eps", "1e-7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[1e-06, 0.5]" in err
+
+
 def test_analyze_parses_every_lattice_before_printing(capsys):
     assert cli.run(["analyze", "--snr-grid", "1", "--n-grid", "100",
                     "--lattices", "Z2,Q7"]) == 2
@@ -294,14 +305,38 @@ def test_analyze_grid_csv(capsys):
 def test_analyze_sandwich_json_and_csv_file(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     code = cli.run(["analyze", "--snr", "1", "--n", "4", "--eps", "0.05",
-                    "--lattices", "Z", "--inv-trials", "50000",
-                    "--csv", str(out), "--seed", "6"])
+                    "--lattices", "Z", "--csv", str(out), "--seed", "6"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     sw = doc["sandwich"]["Z"]
     assert sw["ok"] is True
     assert sw["lower"] < sw["mid"] < sw["upper"]
     assert out.read_text(encoding="utf-8").startswith("# latgauss ")
+
+
+def test_removed_inversion_knob_is_a_usage_error(tmp_path, capsys):
+    assert cli.run(["simulate", "--lattice", "Z", "--snr", "1",
+                    "--inv-trials", "5"]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("inv_trials = 5\n", encoding="utf-8")
+    assert cli.run(["analyze", "--snr-grid", "1", "--n-grid", "100",
+                    "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_readme_command_lines_parse():
+    # every latgauss line of the README's command-line block must name
+    # only flags the parser knows; nothing is run
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("latgauss ")]
+    assert len(lines) == 10
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line[len("latgauss "):]))
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
 
 
 def test_version_flag(capsys):

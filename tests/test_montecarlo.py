@@ -90,7 +90,7 @@ def test_zn_err_inv_closed_form():
     # two-sided per-coordinate tail solved for the union of n coordinates
     assert zn_err_inv(1, 0.05) == pytest.approx(3.919927969080108, rel=1e-12)
     assert zn_err_inv(8, 0.05) == pytest.approx(5.454015793439943, rel=1e-12)
-    assert zn_err_inv(1, 0.05, scale=2.0) == pytest.approx(3.919927969080108 / 2)
+    assert zn_err_inv(1, 0.05) / 2.0 == pytest.approx(3.919927969080108 / 2)
     p = (1 - 0.95 ** (1 / 4)) / 2
     assert zn_err_inv(4, 0.05) == pytest.approx(2 * float(stats.norm.isf(p)), rel=1e-14)
     for n in (1, 2, 8, 16, 64):
@@ -98,8 +98,8 @@ def test_zn_err_inv_closed_form():
             # 1 - (1 - eps)^(1/n) in complement form: computed directly it
             # loses about 1e-10 of p to rounding at n = 64, eps = 1e-6
             p = -math.expm1(math.log1p(-eps) / n) / 2
-            assert zn_err_inv(n, eps, 0.5) == pytest.approx(4 * float(stats.norm.isf(p)),
-                                                           rel=1e-14)
+            assert zn_err_inv(n, eps) / 0.5 == pytest.approx(4 * float(stats.norm.isf(p)),
+                                                            rel=1e-14)
 
 
 def test_voronoi_escape_matches_closed_form():
@@ -175,7 +175,8 @@ def test_inverse_error_function_guards():
     d = math.ceil(Z99 * math.sqrt(2000 * 0.05 * 0.95)) + 1
     width = (s[k + d - 1] - s[k - d - 1]) / s[k - 1]
     for part in ("dimension 1", "eps 0.05", "tol 1e-07", "2000 rows drawn",
-                 f"relative width (hi - lo)/q {width:.3g}"):
+                 f"relative width (hi - lo)/q {width:.3g}",
+                 "find_err_inv runs the defaults", "a larger eps needs fewer rows"):
         assert part in str(err.value)
 
 
@@ -254,7 +255,7 @@ def test_find_err_inv_on_zn_is_the_closed_form():
     for name in ("Z", "Z4", "Z16"):
         lat = scale_lattice(standard_lattice(name), 3.0)
         for eps in EPS_GRID:
-            assert find_err_inv(lat, eps, rng=RngStream(1)) == zn_err_inv(lat.n, eps, 3.0)
+            assert find_err_inv(lat, eps, rng=RngStream(1)) == zn_err_inv(lat.n, eps) / 3.0
 
 
 @pytest.mark.parametrize("name", ["Z4", "D4", "D16", "E8"])
@@ -327,20 +328,48 @@ def test_cdlp_sandwich_never_samples_on_e8(monkeypatch):
     assert got["ok"]
 
 
-@pytest.mark.parametrize("name,eps", [
-    ("A2", 0.05), ("E8", 1e-7), ("D4", 9.9e-7), ("D4", 1e-17), ("E8", 1e-17),
-])
+@pytest.mark.parametrize("name,eps", [("A2", 0.05)])
 def test_find_err_inv_samples_outside_the_families(name, eps, monkeypatch):
     calls = []
 
-    def sampled(lat, eps, trials, tol=1e-3, *, rng):
+    def sampled(lat, eps, trials=200_000, tol=1e-3, *, rng):
         calls.append((lat, eps, trials, tol, rng))
         return 1.25
 
     monkeypatch.setattr(montecarlo, "inverse_error_function", sampled)
     lat, rng = standard_lattice(name), RngStream(3)
-    assert find_err_inv(lat, eps, rng=rng, trials=1000) == 1.25
-    assert calls == [(lat, eps, 1000, 1e-3, rng)]
+    assert find_err_inv(lat, eps, rng=rng) == 1.25
+    assert calls == [(lat, eps, 200_000, 1e-3, rng)]
+
+
+@pytest.mark.parametrize("spec,eps", [
+    ("E8", 1e-7), ("D4", 9.9e-7), ("D4", 1e-17), ("E8", 1e-17), ("2*D8", 5e-7),
+])
+def test_find_err_inv_refuses_dn_and_e8_below_the_exact_range(spec, eps, monkeypatch):
+    # the sampled ladder needs rows in proportion to 1/eps and cannot
+    # finish below 1e-6, so the route fails at once instead of sampling
+    from latgauss.cli import parse_lattice
+
+    _forbid_sampling(monkeypatch)
+    lat = parse_lattice(spec)
+    with pytest.raises(InvalidParams) as err:
+        find_err_inv(lat, eps, rng=RngStream(3))
+    assert lat.family[0] in str(err.value)
+    assert "[1e-06, 0.5]" in str(err.value)
+
+
+@pytest.mark.parametrize("spec,eps", [("E8", "1e-7"), ("D4", "5e-7")])
+def test_simulate_refuses_dn_and_e8_below_the_exact_range(spec, eps, monkeypatch,
+                                                          capsys):
+    import latgauss.cli as cli
+
+    _forbid_sampling(monkeypatch)
+    argv = ["simulate", "--lattice", spec, "--snr", "1", "--eps", eps,
+            "--trials", "100"]
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[1e-06, 0.5]" in err
 
 
 @pytest.mark.parametrize(
@@ -444,8 +473,7 @@ def test_dither_audit_profile_matches_measures():
 
 
 def test_theorem1_suite_structure_and_pass():
-    got = theorem1_suite(Z, 0.05, 1.0, dithers=20, trials=500,
-                         rng=RngStream(54), err_inv=zn_err_inv(1, 0.05))
+    got = theorem1_suite(Z, 0.05, 1.0, dithers=20, trials=500, rng=RngStream(54))
     assert got["pass"]
     assert got["fraction"] >= got["threshold"]
     assert got["threshold"] == pytest.approx(0.5 - 3 * math.sqrt(0.25 / 20))
@@ -459,7 +487,7 @@ def test_theorem1_suite_structure_and_pass():
 
 def test_markov_bound_on_dither_error_rates():
     got = markov_error_suite(Z, 0.05, 1.0, dithers=120, trials=400,
-                             rng=RngStream(55), err_inv=zn_err_inv(1, 0.05))
+                             rng=RngStream(55))
     assert got["pass"]
     for g, rep in got["gammas"].items():
         assert rep["bound"] == pytest.approx(1.0 / g)
@@ -474,11 +502,11 @@ def test_markov_rates_are_the_theorem1_audits():
     # theorem1 audits: same dithers, same streams
     e8 = standard_lattice("E8")
     got = markov_error_suite(e8, 0.05, 1.0, dithers=20, trials=400,
-                             rng=RngStream(62), err_inv=4.762)
+                             rng=RngStream(62))
     audits = theorem1_suite(e8, 0.05, 1.0, dithers=20, trials=400,
-                            rng=RngStream(62), err_inv=4.762)["audits"]
+                            rng=RngStream(62))["audits"]
     rates = np.array([a.err_rate.p_hat for a in audits])
-    assert got["err_inv"] == 4.762
+    assert got["err_inv"] == find_err_inv(e8, 0.05, rng=RngStream(1))
     assert got["mean_rate"] == float(rates.mean())
     assert set(got["gammas"]) == {2.0, 6.0}
     for g, rep in got["gammas"].items():
@@ -524,11 +552,11 @@ def test_run_trials_escape_comparison_needs_peak_off():
 def test_transmission_experiment_contract():
     cfg = codec_config(standard_lattice("Z2"), 2.0, channel_params(1.0, 1.0))
     got = transmission_experiment(cfg, 500, RngStream(59))
-    assert set(got) == {"errors", "p_err", "avg_power", "failures", "rate_proxy"}
+    assert set(got) == {"errors", "err", "p_err", "avg_power", "failures",
+                        "rate_proxy"}
     assert got["rate_proxy"] > 0
-    kept = transmission_experiment(cfg, 500, RngStream(59), keep_err=True)
-    assert kept["err"].shape == (500,)
-    assert kept["errors"] == got["errors"]
+    assert got["err"].shape == (500,)
+    assert got["errors"] == int(got["err"].sum())
 
 
 def test_peak_tail_bound_holds():
