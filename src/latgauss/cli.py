@@ -37,8 +37,8 @@ from .codec import channel_params, codec_config
 from .errors import LatgaussError, UsageError
 from .lattices import from_json, nld, scale_lattice, standard_lattice, to_json
 from .measures import (
+    batch_coset_stats,
     entropy_exact,
-    enumerate_masses,
     flatness_factor,
     mass_zero,
     smoothing_parameter,
@@ -204,12 +204,18 @@ def cmd_lattice(ns):
     return 0
 
 
-def cmd_measure(ns):
-    lat = parse_lattice(ns.lattice)
+def _parse_shift(ns, lat):
+    """The --shift of `ns` as a vector for `lat`; zeros when it is not given."""
     shift = np.zeros(lat.n) if ns.shift is None else np.asarray(ns.shift)
     if shift.shape != (lat.n,):
         raise UsageError(f"--shift needs {lat.n} comma-separated values")
-    law = enumerate_masses(lat, shift, ns.sigma)
+    return shift
+
+
+def cmd_measure(ns):
+    lat = parse_lattice(ns.lattice)
+    shift = _parse_shift(ns, lat)
+    row = batch_coset_stats(lat, shift[None], ns.sigma)
     fb = flatness_factor(lat, ns.sigma, samples=ns.flatness_samples,
                          seed=ns.seed)
     sm = smoothing_parameter(lat, ns.eps)
@@ -217,8 +223,8 @@ def cmd_measure(ns):
         "lattice": ns.lattice,
         "sigma": ns.sigma,
         "shift": shift,
-        "f_mass": law.mass,
-        "tail_bound": law.tail,
+        "f_mass": row["mass"][0],
+        "tail_bound": row["tail"][0],
         "P0": mass_zero(lat, ns.sigma),
         "entropy": entropy_exact(lat, shift, ns.sigma),
         "flatness_lower": fb.lower,
@@ -232,10 +238,7 @@ def cmd_measure(ns):
 
 def cmd_sample(ns):
     lat = parse_lattice(ns.lattice)
-    shift = np.zeros(lat.n) if ns.shift is None else np.asarray(ns.shift)
-    if shift.shape != (lat.n,):
-        raise UsageError(f"--shift needs {lat.n} comma-separated values")
-    pts = sample_coset(lat, shift, ns.sigma, RngStream(ns.seed), ns.n_samples)
+    pts = sample_coset(lat, _parse_shift(ns, lat), ns.sigma, RngStream(ns.seed), ns.n_samples)
     lines = [",".join(_fmt(float(v)) for v in row) for row in pts]
     _emit_csv(lines, ns.csv, ns)
     return 0

@@ -1,48 +1,50 @@
 """Gaussian measures restricted to lattice cosets.
 
-The workhorse is one certified coset law. enumerate_masses returns
-D_{Lambda+t,sigma} as a DiscreteGaussianSpec: every coset point inside a
-ball whose radius is chosen from the exponential norm tail
+Three routines hold every sum over a coset, one role each:
 
-    Pr[ ||X||^2 / (2 n sigma^2) >= t ] <= exp(-n t + (n/2) log(2 t e)),  t >= 1,
+* coset_blocks, the one front door for every coset law D_{Lambda+t,sigma}:
+  batch masses and powers (batch_coset_stats), every draw, the dither
+  audits, the rate proxy, `measure`'s mass, the identity route of
+  entropy_exact, the effective-noise density and the Siegel mean.
+* _centred_sum, the one certified centred theta sum.
+* enumerate_masses, the enumerated reference law, for the discrete
+  sampling suite's expected counts and the tests.
 
-so the neglected tail is provably below the requested relative tolerance.
-The points come sorted by decreasing probability; the law's mass, second
-moment and entropy are properties of the spec. It is the enumerated
-reference law (`measure`, entropy_exact, the discrete suite's expected
-counts, the tests' oracle for the kernel); every draw reads coset_blocks.
-For shifted cosets the bound controls the tail relative to the centered sum;
-the radius is enlarged by the certified ratio between the two masses, with a
-conservative factor-two slack throughout. Sums are accumulated with exact
-(fsum) summation after factoring out the largest exponent, which keeps tiny
-masses meaningful and makes results independent of enumeration order.
-
-Batches of rows share one front door, coset_blocks, behind
-batch_coset_stats here, the samplers of sampling and the montecarlo
-dither audits. It accepts any shift, since the law depends only on the
-coset, and decodes every row to the Voronoi cell. The closed-form families
-(Zn, Dn and E8, at any scale) then compute each row's law with a factorized
+coset_blocks accepts any shift, since the law depends only on the coset,
+and decodes every row to the Voronoi cell. The closed-form families (Zn,
+Dn and E8, at any scale) then compute each row's law with a factorized
 kernel over a window of integers per coordinate: Z^n is a product of line
 laws, Dn a two-state parity recursion over the coordinates, and E8 = D8 u
 (D8 + 1/2) two such recursions combined by mass; each row's window is
 certified against that row's own coset mass. Generic lattices
-(padded_coset_support) enumerate a single ball, certified by the same
-radius rule as enumerate_masses and padded by the largest reduced row's
-norm, for all rows. Every consumer reads blocks of rows and never branches
-on the lattice.
+(padded_coset_support) enumerate a single ball for all rows, padded by the
+largest reduced row's norm. Every consumer reads blocks of rows and never
+branches on the lattice.
 
-Every centred theta quantity reads one certified sum, _centred_sum: the
-log of sum_{x in Lambda} exp(-||x||^2 / 2 sigma^2) over the certified
-centred ball (enumerate_masses' log_raw_sum at the origin, bit for bit),
-its part off the origin, and the tail. The shifted-law radius, the
-zero-point probability mass, the smoothing function g(s) and the upper
-flatness bound all take it from there. On top of the coset law: exact
-entropy via two independent routes (coset_entropy's mass/second-moment
-identity, which blocks and specs share, and a direct -sum p log p) and
-the sampled lower flatness bound. Two more back the paper's
-argument: the folded effective-noise density of the MMSE-scaled channel,
-and a Siegel-style mean of f_sigma over random mod-p lattices (the
-AWGN-good ensemble); demo 03 prints both.
+Enumerated balls take their radius from the exponential norm tail
+
+    Pr[ ||X||^2 / (2 n sigma^2) >= t ] <= exp(-n t + (n/2) log(2 t e)),  t >= 1,
+
+so the neglected tail is provably below the requested relative tolerance.
+For shifted cosets the bound controls the tail relative to the centred
+sum; the radius is enlarged by the certified ratio between the two masses,
+with a conservative factor-two slack throughout. Sums are accumulated with
+exact (fsum) summation after factoring out the largest exponent, which
+keeps tiny masses meaningful and makes results independent of enumeration
+order.
+
+_centred_sum gives the log of sum_{x in Lambda} exp(-||x||^2 / 2 sigma^2)
+over the certified centred ball (enumerate_masses' log_raw_sum at the
+origin, bit for bit), its part off the origin, and the tail. The
+shifted-law radius, the zero-point probability mass, the smoothing
+function g(s) and the upper flatness bound all take it from there. On top
+of the coset law: exact entropy via two independent routes
+(coset_entropy's mass/second-moment identity on the kernel or padded
+support, and a direct -sum p log p over an enumerated ball) and the
+sampled lower flatness bound. Two more back the paper's argument: the
+folded effective-noise density of the MMSE-scaled channel, and a
+Siegel-style mean of f_sigma over random mod-p lattices (the AWGN-good
+ensemble); demo 03 prints both.
 """
 
 from __future__ import annotations
@@ -247,23 +249,29 @@ def mass_zero(lat: Lattice, sigma, rel_tol=1e-9) -> float:
 def entropy_exact(lat: Lattice, shift, sigma, tol=1e-9) -> float:
     """Entropy (nats) of the discrete Gaussian on Lambda + shift.
 
-    Computed two ways: the law's mass/second-moment identity, and a direct
-    -sum p log p over a strictly larger support. Disagreement beyond tol
-    raises InternalMismatch (it means truncation was too coarse).
+    Computed two ways: coset_entropy of the shift's batch_coset_stats row,
+    and a direct -sum p log p over an enumerated ball 2 sigma wider than
+    the certified one. Disagreement beyond tol raises InternalMismatch (it
+    means truncation was too coarse).
     """
-    law = enumerate_masses(lat, shift, sigma, min(tol, 1e-9) * 1e-2)
-    _, b_points = enumerate_coset(lat, mod_lattice(lat, law.shift),
-                                  law.radius + 2 * sigma)
+    rel = min(tol, 1e-9) * 1e-2
+    shift = np.asarray(shift, dtype=float)
+    row = batch_coset_stats(lat, shift[None], sigma, rel)
+    h = float(coset_entropy(row["mass"][0], row["power"][0], sigma, lat.n))
+    r = mod_lattice(lat, shift)
+    radius, _ = _certified_radius(lat, float(r @ r), sigma, rel)
+    _, b_points = enumerate_coset(lat, r, radius + 2 * sigma)
     n2 = (b_points**2).sum(axis=1)
     w = np.exp(-(n2 - n2.min()) / (2 * sigma**2))
     q = w / w.sum()
     q = q[q > 0]
     h_direct = float(-(q * np.log(q)).sum())
-    if abs(law.entropy - h_direct) > tol:
+    if abs(h - h_direct) > tol:
         raise InternalMismatch(
-            f"entropy routes disagree: {law.entropy} vs {h_direct}"
+            f"entropy routes disagree in n={lat.n} at sigma={sigma}, tol={tol}: "
+            f"identity {h} vs direct {h_direct}"
         )
-    return law.entropy
+    return h
 
 
 def smoothing_parameter(lat: Lattice, eps) -> SmoothingResult:
@@ -427,9 +435,11 @@ class _SupportBlock:
 
 
 def _log_mix(la, lb):
-    """(log(e^la + e^lb), share of e^la), for la finite and lb finite or -inf."""
+    """(log(e^la + e^lb), share of e^la, share of e^lb), for la finite and lb
+    finite or -inf. Each share is its own exponential, so a minority share
+    below 1e-16 is kept rather than rounded away by 1 - share."""
     total = np.maximum(la, lb) + np.log1p(np.exp(-np.abs(la - lb)))
-    return total, np.exp(la - total)
+    return total, np.exp(la - total), np.exp(lb - total)
 
 
 def _kernel_blocks(lat, anchors, rows, sigma, rel_tol):
@@ -505,17 +515,17 @@ class _KernelBlock:
         prefix = np.empty((le.shape[0],) + lp.shape)
         for i in range(le.shape[0]):
             prefix[i] = lp
-            l0, s0 = _log_mix(lp[0] + le[i], lp[1] + lo[i])
-            l1, s1 = _log_mix(lp[0] + lo[i], lp[1] + le[i])
-            pw = np.stack([s0 * (pw[0] + me[i]) + (1 - s0) * (pw[1] + mo[i]),
-                           s1 * (pw[0] + mo[i]) + (1 - s1) * (pw[1] + me[i])])
+            l0, s0, r0 = _log_mix(lp[0] + le[i], lp[1] + lo[i])
+            l1, s1, r1 = _log_mix(lp[0] + lo[i], lp[1] + le[i])
+            pw = np.stack([s0 * (pw[0] + me[i]) + r0 * (pw[1] + mo[i]),
+                           s1 * (pw[0] + mo[i]) + r1 * (pw[1] + me[i])])
             lp = np.stack([l0, l1])
         with np.errstate(divide="ignore"):
             log_accept = np.log(accept)
-        log_half, share = _log_mix(lp[0] + log_accept[0], lp[1] + log_accept[1])
+        log_half, share, rest = _log_mix(lp[0] + log_accept[0], lp[1] + log_accept[1])
         log_half = log_half - c * (delta**2).sum(axis=0)  # with each half's largest weight
         raw = np.logaddexp.reduce(log_half, axis=1)
-        power_half = share * pw[0] + (1 - share) * pw[1]
+        power_half = share * pw[0] + rest * pw[1]
         self.mass = np.exp(raw) / (2 * math.pi * sigma**2) ** (delta.shape[0] / 2)
         self.power = (np.exp(log_half - raw[:, None]) * power_half).sum(axis=1)
         # geometric tails beyond the window on each side, relative to its centre
@@ -592,8 +602,8 @@ def effective_noise_pdf(lat: Lattice, params, w) -> float:
     w = np.asarray(w, dtype=float)
     sig_eff = math.sqrt(params.sigma_eff2)
     sig_s = math.sqrt(params.sigma_s2)
-    num = enumerate_masses(lat, w, math.sqrt(params.alpha) * sig_s).mass
-    den = enumerate_masses(lat, np.zeros(lat.n), sig_s).mass
+    num = batch_coset_stats(lat, w[None], math.sqrt(params.alpha) * sig_s)["mass"][0]
+    den = batch_coset_stats(lat, np.zeros((1, lat.n)), sig_s)["mass"][0]
     return float(gaussian_pdf(sig_eff, w) * num / den)
 
 
@@ -615,7 +625,7 @@ def random_lattice_mean_check(n, volume, trials, sigma, rng) -> dict:
         else:
             lat = random_mod_p_lattice(n, max(1, n // 2), 127, rng.child(i))
         c = (volume / lat.volume) ** (1.0 / n)
-        vals[i] = enumerate_masses(scale_lattice(lat, c), np.zeros(n), sigma).mass
+        vals[i] = batch_coset_stats(scale_lattice(lat, c), np.zeros((1, n)), sigma)["mass"][0]
     predicted = (2 * math.pi * sigma**2) ** (-n / 2) + 1.0 / volume
     return {
         "empirical": float(vals.mean()),

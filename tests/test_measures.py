@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+import oracle
+from latgauss import cli, measures
 from latgauss.codec import channel_params, codec_config
-from latgauss import measures
-from latgauss.errors import InvalidParams
+from latgauss.errors import InternalMismatch, InvalidParams
 from latgauss.lattices import (
     dual,
     enumerate_coset,
@@ -198,6 +199,21 @@ def test_entropy_tiny_value_resolved():
     # resolves the 1e-20 tail instead of flushing it to zero
     h = entropy_exact(scale_lattice(Z, 10.0), [0.0], 1.0, tol=1e-21)
     assert h == pytest.approx(1.9287498479639178e-20, rel=1e-6)
+
+
+def test_entropy_mismatch_names_its_parameters(monkeypatch):
+    # a wrong identity route must be caught by the direct route, and the
+    # message must carry what is needed to reproduce it
+    real = measures.batch_coset_stats
+
+    def off(*args, **kwargs):
+        got = real(*args, **kwargs)
+        return {**got, "mass": got["mass"] * 1.01}
+
+    monkeypatch.setattr(measures, "batch_coset_stats", off)
+    with pytest.raises(InternalMismatch,
+                       match=r"n=1 at sigma=0\.9, tol=1e-09: identity \S+ vs direct \S+"):
+        entropy_exact(Z, [0.25], 0.9)
 
 
 def test_entropy_shift_invariance_under_lattice_translation():
@@ -428,6 +444,37 @@ def test_kernel_keeps_the_power_where_the_mass_underflows():
     np.testing.assert_array_equal(pts, rows + lat.embed(coords))
 
 
+@pytest.mark.parametrize("name", ["Z", "Z4", "D4", "E8"])
+@pytest.mark.parametrize("c", [2.0, 4.0, 6.0, 8.0])
+def test_kernel_matches_the_decimal_oracle(name, c):
+    # at 8 D4 the centred row's power is made of odd-parity shares near
+    # e^-64 of the total, which a share formed as 1 - share rounds away
+    lat = scale_lattice(standard_lattice(name), c)
+    rows = np.vstack([np.zeros(lat.n), np.random.default_rng(4).normal(size=(4, lat.n)) * c])
+    got = batch_coset_stats(lat, rows, 1.0, rel_tol=1e-13)
+    for row, mass, power in zip(rows, got["mass"], got["power"]):
+        assert power == pytest.approx(oracle.power(lat.family[0], c, row, 1.0),
+                                      rel=1e-13, abs=0)
+        assert mass == pytest.approx(oracle.mass(lat.family[0], c, row, 1.0),
+                                     rel=1e-13, abs=0)
+
+
+def test_coset_laws_take_one_path(monkeypatch):
+    # enumerate_masses is the discrete suite's reference law: every other
+    # coset mass and entropy reads batch_coset_stats
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_masses called")
+
+    monkeypatch.setattr(measures, "enumerate_masses", refuse)
+    assert not hasattr(cli, "enumerate_masses")
+    for lat, sigma in ((Z, 1.0), (standard_lattice("A2"), 1.0), (standard_lattice("E8"), 0.4)):
+        assert entropy_exact(lat, np.full(lat.n, 0.3), sigma) > 0
+    assert effective_noise_pdf(Z, channel_params(1.0, 1.0), [0.3]) > 0
+    assert random_lattice_mean_check(2, 4.0, 3, 1.0, RngStream(5))["trials"] == 3
+    for name in ("Z2", "A2"):
+        assert cli.run(["measure", "--lattice", name, "--sigma", "1", "--seed", "2"]) == 0
+
+
 @pytest.mark.parametrize("lat", [standard_lattice("Z16"),
                                  scale_lattice(standard_lattice("D8"), 4.0),
                                  standard_lattice("E8"),
@@ -450,6 +497,9 @@ def test_families_never_enumerate(lat, monkeypatch):
     audit = dither_audit(config, rows[0], 0.05, 200, RngStream(9))
     assert audit.mass > 0 and audit.err_rate.trials == 200
     assert transmission_experiment(config, 50, RngStream(9))["rate_proxy"] > 0
+    # so do the effective-noise density and the one-dimensional Siegel mean
+    assert effective_noise_pdf(lat, channel_params(1.0, 1.0), rows[0]) > 0
+    assert random_lattice_mean_check(1, 2.0, 3, 1.0, RngStream(9))["stderr"] == 0.0
     a2 = standard_lattice("A2")
     with pytest.raises(AssertionError, match="enumerate_coset"):
         batch_coset_stats(a2, rows[:, :2], 1.0)
