@@ -538,9 +538,11 @@ class _KernelBlock:
         with np.errstate(divide="ignore"):  # a tail below the smallest double
             self.tail = np.exp(gap + np.log(whole).sum(axis=0)
                                + np.log((tails / whole).sum(axis=0))).sum(axis=1)
-        self.lat, self.anchors, self.a, self.prefix = lat, anchors, a, prefix
+        self.lat, self.anchors, self.prefix = lat, anchors, prefix
+        self.c, self.width, self.delta = c, width, delta
         self.start = k0 + np.asarray(halves)  # h + k at window index 0
         self.odd0, self.log_half, self.log_accept = odd0, log_half, log_accept
+        self.needs = 1 if accept[0] == accept[1] else 2  # see _tables
 
     def stats(self):
         return self.mass, self.power, self.tail
@@ -548,37 +550,60 @@ class _KernelBlock:
     def draw(self, gen, k):
         """Backward through the recursion, k draws per row: one uniform per
         coordinate, after one that picks the half-coset by its mass if two.
-        The draws go row by row, in passes of near 8M window entries: the
-        (n, draws, 2W+1) gather and some eight (draws, 2W+1) temporaries a
-        coordinate."""
-        n, rows, _, width = self.a.shape
-        step = max(1, _BLOCK_ENTRIES // ((n + 8) * width))  # draws a pass
+        The draws go row by row, in passes of near 8M working entries: a
+        draw may bring its own law, whose tables take N n (2W+1) entries
+        for N needs (see _tables) and up to (N + 2) n (2W+1) while they are
+        built, and the gather of one coordinate's table and its comparison
+        with the uniforms take two (2W+1) more."""
+        n, rows, _ = self.delta.shape
+        step = max(1, _BLOCK_ENTRIES // (((self.needs + 2) * n + 2) * (2 * self.width + 1)))
         return np.concatenate([self._draw(gen, np.arange(b, min(b + step, rows * k)) // k)
                                for b in range(0, max(rows * k, 1), step)])
 
+    def _tables(self, row, h):
+        """Inverse CDFs of the laws (row[l], h[l]): (n, 2W+1, needs * laws),
+        column need * laws + l.
+
+        Going backward, coordinate i draws its k on the window given the
+        need: 0 while the k drawn above i sum to an even number, so that
+        the coordinates up to i must make an admitted parity of sum(k) on
+        their own, and 1 once that sum is odd. Zn admits both parities, so
+        its one need serves either. A table is the cumulative sum of the
+        window's weights relative to the largest, built once for all the
+        draws of its law."""
+        j = np.arange(-self.width, self.width + 1)[:, None]
+        a = -self.c * j * (j + 2 * self.delta[:, None, row, h])  # as in __init__
+        p, la = self.prefix[:, :, row, h], self.log_accept
+        # log of the weight below i that an even or an odd k admits, at need 0
+        even = np.logaddexp(p[:, 0] + la[0], p[:, 1] + la[1])[:, None, None]
+        odd = np.logaddexp(p[:, 0] + la[1], p[:, 1] + la[0])[:, None, None]
+        # (n, window index mod 2, need, laws): the odd weight applies where
+        # k is odd at need 0, and where it is even at need 1
+        flip = (self.odd0[:, None, None, row, h] ^ np.arange(2)[:, None, None]
+                ^ np.arange(self.needs)[:, None])
+        lw = np.where(flip, odd, even)[:, np.arange(2 * self.width + 1) & 1]
+        lw += a[:, :, None]
+        lw -= lw.max(axis=1, keepdims=True)
+        np.exp(lw, out=lw)
+        return np.cumsum(lw, axis=1, out=lw).reshape(a.shape[:2] + (-1,))
+
     def _draw(self, gen, row):
         """One draw for each entry of row, on the next uniforms of gen."""
-        n, _, halves, width = self.a.shape
+        n, _, halves = self.delta.shape
         u = gen.random((row.size, n + halves - 1))
         lh = self.log_half
         cs = np.cumsum(np.exp(lh - lh.max(axis=1, keepdims=True)), axis=1)[row]
         h = (cs[:, :-1] < u[:, :halves - 1] * cs[:, -1:]).sum(axis=1)
-        a, prefix, start, odd0 = (self.a[:, row, h], self.prefix[:, :, row, h],
-                                  self.start[:, row, h], self.odd0[:, row, h])
-        alt = np.arange(width) & 1
-        # log of the admitted (even, odd) parity of the coordinates up to i
-        need = np.repeat(self.log_accept[:, None], row.size, axis=1)
+        laws, law = np.unique(row * halves + h, return_inverse=True)
+        tables = self._tables(laws // halves, laws % halves)
+        start, odd0 = self.start[:, row, h], self.odd0[:, row, h]
+        need = np.zeros(row.size, dtype=np.int64)
         v = np.empty((row.size, n))
         for i in range(n - 1, -1, -1):
-            odd = (odd0[i, :, None] + alt) & 1  # (rows, 2W+1) parity of each k
-            p = prefix[i]
-            by = (np.logaddexp(p[0] + need[0], p[1] + need[1]),  # admit an even k
-                  np.logaddexp(p[0] + need[1], p[1] + need[0]))  # admit an odd k
-            lw = a[i] + np.where(odd, by[1][:, None], by[0][:, None])
-            cs = np.cumsum(np.exp(lw - lw.max(axis=1, keepdims=True)), axis=1)
-            j = (cs < (u[:, halves - 1 + i] * cs[:, -1])[:, None]).sum(axis=1)
+            cs = tables[i][:, need * laws.size + law]  # (2W+1, draws)
+            j = (cs < u[:, halves - 1 + i] * cs[-1]).sum(axis=0)
             v[:, i] = start[i] + j
-            need = np.where((odd0[i] + j) & 1, need[::-1], need)  # the parity of k
+            need ^= (odd0[i] + j) & (self.needs - 1)  # the parity of k, if it matters
         return self.lat.coords_of(self.lat.family[1] * v) - self.anchors[row]
 
 

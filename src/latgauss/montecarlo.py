@@ -53,6 +53,7 @@ from .rng import RngStream
 from .sampling import (
     DEFAULT_TAIL,
     batch_coset_sample,
+    sample_coset,
     sample_dither_discrete,
     sample_normal,
 )
@@ -628,8 +629,7 @@ def effective_noise_tail_check(lat: Lattice, snr, trials, rng: RngStream) -> dic
     """
     params = channel_params(1.0, 1.0 / snr)
     n = lat.n
-    x, _ = batch_coset_sample(lat, np.zeros((trials, n)), params.sigma_s,
-                              rng.child(0))
+    x = sample_coset(lat, np.zeros(n), params.sigma_s, rng.child(0), trials)
     w = sample_normal(params.sigma_w, n, rng.child(1), trials=trials)
     weff2 = (((params.alpha - 1.0) * x + params.alpha * w) ** 2).sum(axis=1)
     out = {"cases": {}, "pass": True}
