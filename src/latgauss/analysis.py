@@ -60,15 +60,13 @@ def max_nld(sigma) -> float:
     return -0.5 * math.log(2.0 * math.pi * math.e * sigma**2)
 
 
-def finite_blocklength(snr, n, eps, gamma=None, sigma=None
-                       ) -> FiniteBlocklengthReport:
+def finite_blocklength(snr, n, eps, gamma=None) -> FiniteBlocklengthReport:
     """Second-order rate quantities at blocklength n and error budget eps.
 
-    `sigma` fixes the noise scale used for the unconstrained-setting NLD
-    delta_eps_n; the default is the effective noise level of the MMSE
-    channel at unit noise power, sigma_eff = sqrt(snr/(1+snr)), the level
-    the shaped code lattice actually faces. Pass sigma explicitly for the
-    raw-noise convention. All formulas drop O(log n / n) terms.
+    The unconstrained-setting NLD delta_eps_n is taken at the effective
+    noise level of the MMSE channel at unit noise power, sigma_eff =
+    sqrt(snr/(1+snr)), the level the shaped code lattice actually faces;
+    the report carries it as sigma. All formulas drop O(log n / n) terms.
     """
     if not n >= 1:
         raise InvalidParams("n must be at least 1")
@@ -77,8 +75,7 @@ def finite_blocklength(snr, n, eps, gamma=None, sigma=None
     c = capacity(snr)
     v = dispersion(snr)
     qi = q_inverse(eps)
-    if sigma is None:
-        sigma = math.sqrt(snr / (1.0 + snr))
+    sigma = math.sqrt(snr / (1.0 + snr))
     return FiniteBlocklengthReport(
         capacity=c,
         dispersion=v,
@@ -86,7 +83,7 @@ def finite_blocklength(snr, n, eps, gamma=None, sigma=None
         delta_eps_n=max_nld(sigma) - math.sqrt(0.5 / n) * qi,
         theorem1_gap=None if gamma is None else theorem1_gap(gamma, n),
         intro_gap=(qi + math.sqrt(8.0)) / math.sqrt(2.0 * n),
-        sigma=float(sigma),
+        sigma=sigma,
     )
 
 

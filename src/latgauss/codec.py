@@ -61,8 +61,9 @@ class ChannelParams:
 
 def channel_params(sigma_s2, sigma_w2) -> ChannelParams:
     """Derive the MMSE coefficient and effective noise variance."""
-    if not (sigma_s2 > 0 and sigma_w2 > 0):
-        raise NonPositive("sigma_s2 and sigma_w2 must be positive")
+    if not (0 < sigma_s2 < math.inf and 0 < sigma_w2 < math.inf):
+        raise NonPositive("sigma_s2 and sigma_w2 must be positive and finite, "
+                          f"got {sigma_s2} and {sigma_w2}")
     alpha = sigma_s2 / (sigma_s2 + sigma_w2)
     return ChannelParams(
         sigma_s2=float(sigma_s2),

@@ -69,6 +69,10 @@ class Lattice:
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise NonSquare(f"basis must be square, got shape {basis.shape}")
+        bad = np.argwhere(~np.isfinite(basis))
+        if bad.size:
+            i, j = bad[0]
+            raise InvalidParams(f"basis entry ({i}, {j}) is not finite: {basis[i, j]}")
         n = basis.shape[0]
         q, rt = _qr_positive(basis)
         diag = np.abs(np.diag(rt))
@@ -294,7 +298,7 @@ def _enumerate_ball(rt, targets, radii, budget):
     return rows, coords, partial
 
 
-def enumerate_coset(lat: Lattice, shift, radius, budget=DEFAULT_ENUM_BUDGET):
+def enumerate_coset(lat: Lattice, shift, radius):
     """All points of (Lambda + shift) with norm <= radius.
 
     Returns (coords, points): integer coordinates of the lattice part and the
@@ -307,7 +311,7 @@ def enumerate_coset(lat: Lattice, shift, radius, budget=DEFAULT_ENUM_BUDGET):
     r = radius * (1.0 + 1e-9)
     # ||B c + shift|| = ||rt c - (-q^T shift)||
     target = -(lat._q.T @ shift)
-    _, coords, _ = _enumerate_ball(lat._rt, target[None], np.array([r]), budget)
+    _, coords, _ = _enumerate_ball(lat._rt, target[None], np.array([r]), DEFAULT_ENUM_BUDGET)
     return coords, lat.embed(coords) + shift
 
 
@@ -519,8 +523,8 @@ def nld(lat: Lattice, sigma: float) -> NldReport:
     nld = (1/n) log(1/volume); the limit is -(1/2) log(2 pi e sigma^2).
     Positive margin means the density is on the feasible side.
     """
-    if sigma <= 0:
-        raise InvalidParams("sigma must be positive")
+    if not (0 < sigma < math.inf):
+        raise InvalidParams(f"sigma must be positive and finite, got {sigma}")
     value = -np.log(lat.volume) / lat.n
     limit = -0.5 * np.log(2 * np.pi * np.e * sigma**2)
     return NldReport(nld=float(value), poltyrev_limit=float(limit),

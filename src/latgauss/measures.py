@@ -314,15 +314,12 @@ def smoothing_parameter(lat: Lattice, eps) -> SmoothingResult:
 def _shortest_norm(lat):
     """(lambda_1, count): the exact length of a shortest nonzero vector and
     the number of vectors of that length (norms up to lambda_1^2 (1 + 1e-9))."""
-    r = float(np.linalg.norm(lat.basis, axis=0).min())
-    while True:
-        _, pts = enumerate_coset(lat, np.zeros(lat.n), r)
-        n2 = (pts**2).sum(axis=1)
-        n2 = n2[n2 > 1e-18 * r * r]
-        if n2.size:
-            m = float(n2.min())
-            return math.sqrt(m), int((n2 <= m * (1 + 1e-9)).sum())
-        r *= 2  # pragma: no cover - the min column norm already suffices
+    r = float(np.linalg.norm(lat.basis, axis=0).min())  # the ball holds that column
+    _, pts = enumerate_coset(lat, np.zeros(lat.n), r)
+    n2 = (pts**2).sum(axis=1)
+    n2 = n2[n2 > 1e-18 * r * r]
+    m = float(n2.min())
+    return math.sqrt(m), int((n2 <= m * (1 + 1e-9)).sum())
 
 
 def flatness_factor(lat: Lattice, sigma, samples=512, seed=0) -> FlatnessBracket:
@@ -351,7 +348,7 @@ def flatness_factor(lat: Lattice, sigma, samples=512, seed=0) -> FlatnessBracket
     return FlatnessBracket(lower=lower, upper=upper, samples=samples)
 
 
-_BLOCK_ENTRIES = 1 << 23  # working entries per block, on either path
+_BLOCK_ENTRIES = 1 << 23  # floats a kernel block or draw pass holds; distances a support block
 _ROW_CHUNK = 256  # rows per distance block of the padded support
 
 # The closed-form families as cosets of Z^n: the line offsets of their
@@ -457,6 +454,11 @@ def _kernel_blocks(lat, anchors, rows, sigma, rel_tol):
     of the other coordinates with the parity constraint dropped, and taken
     relative to the weight of the row's nearest coset point r, a lower bound
     on its coset mass. W grows until every row of a block certifies.
+
+    A block of R rows holds at most R H (n (3 (W + 1) + 16) + 20) entries
+    while it is built, at most _BLOCK_ENTRIES: three (n, R, H, W + 1) arrays
+    of one parity class at a time, sixteen (n, R, H) ones (the parity sums
+    and means, their swaps, the prefix, the tails) and twenty (R, H) ones.
     """
     halves, accept = _FAMILY_COSETS[lat.family[0]]
     s = lat.family[1]
@@ -470,7 +472,7 @@ def _kernel_blocks(lat, anchors, rows, sigma, rel_tol):
     log_need = (math.log(2 * n * len(halves) / rel_tol) + float(gap.max(initial=0.0))
                 + n * math.log1p(math.sqrt(2 * math.pi) * sigma / s))
     width = max(1, math.ceil(math.sqrt(2 * log_need * (sigma / s) ** 2 + 0.25) - 0.5))
-    chunk = max(1, _BLOCK_ENTRIES // (len(halves) * n * (2 * width + 1)))
+    chunk = max(1, _BLOCK_ENTRIES // (len(halves) * (n * (3 * (width + 1) + 16) + 20)))
     for a in range(0, max(m, 1), chunk):
         while True:
             block = _KernelBlock(lat, anchors[a:a + chunk], halves, accept,
@@ -483,8 +485,9 @@ def _kernel_blocks(lat, anchors, rows, sigma, rel_tol):
 
 
 class _KernelBlock:
-    """Rows of a Zn, Dn or E8 lattice: their laws on the window, with the
-    arrays (n, rows, H, ...) per coordinate, row and half-coset.
+    """Rows of a Zn, Dn or E8 lattice: their laws on the window, built one
+    parity class of it at a time, with the arrays (n, rows, H, ...) per
+    coordinate, row and half-coset.
 
     Parity laws are kept as logarithms: near a deep hole of a coarse
     lattice the admitted parity can carry less than 1e-308 of the other.
@@ -494,19 +497,17 @@ class _KernelBlock:
     def __init__(self, lat, anchors, halves, accept, centre, delta, gap, width, sigma):
         s = lat.family[1]
         c = s * s / (2 * sigma**2)
-        j = np.arange(-width, width + 1)
-        x2 = (s * (j + delta[..., None])) ** 2
-        a = -c * j * (j + 2 * delta[..., None])  # log weights, 0 at the window's centre
         k0 = -width - centre  # index 0 of the window is j = -width, k = j - centre
         odd0 = k0.astype(np.int64) & 1
         log_sum, mean2 = [], []
-        for t in (0, 1):  # window indices of one parity, so k of one parity
+        for t in (0, 1):  # window indices j = -W + t, -W + t + 2, ..., so k of one parity
+            j = np.arange(-width + t, width + 1, 2)
             # the largest log weight of the class: 0 at j = 0, else at j = +-1
             top = np.zeros_like(delta) if (t - width) % 2 == 0 else -c * (1 - 2 * np.abs(delta))
-            w = np.exp(a[..., t::2] - top[..., None])
+            w = np.exp(-c * j * (j + 2 * delta[..., None]) - top[..., None])  # over the largest
             tot = w.sum(axis=-1)
             log_sum.append(top + np.log(tot))
-            mean2.append((w * x2[..., t::2]).sum(axis=-1) / tot)
+            mean2.append((w * (s * (j + delta[..., None])) ** 2).sum(axis=-1) / tot)
         # (n, rows, H) by the parity of k: log line sums and conditional x^2
         le, lo = np.where(odd0, log_sum[1], log_sum[0]), np.where(odd0, log_sum[0], log_sum[1])
         me, mo = np.where(odd0, mean2[1], mean2[0]), np.where(odd0, mean2[0], mean2[1])

@@ -93,11 +93,6 @@ def test_finite_blocklength_report():
 def test_finite_blocklength_optional_gamma_and_sigma():
     got = finite_blocklength(1.0, 64, 0.1)
     assert got.theorem1_gap is None
-    fixed = finite_blocklength(1.0, 64, 0.1, sigma=1.0)
-    assert fixed.sigma == 1.0
-    assert fixed.delta_eps_n == pytest.approx(
-        max_nld(1.0) - math.sqrt(0.5 / 64) * q_inverse(0.1), rel=1e-12
-    )
     with pytest.raises(InvalidParams):
         finite_blocklength(1.0, 0, 0.1)
     with pytest.raises(InvalidParams):

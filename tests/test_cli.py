@@ -176,6 +176,37 @@ def test_modes_are_parsed_before_the_inversion(argv, monkeypatch, capsys):
     assert "'bogus'" in err
 
 
+@pytest.mark.parametrize("command", [["lattice"], ["measure", "--sigma", "1"]])
+def test_non_finite_basis_is_rejected(command, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"basis": [[NaN, 0], [0, 1]]}', encoding="utf-8")
+    assert cli.run([command[0], "--lattice", str(bad)] + command[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "basis entry (0, 0) is not finite: nan" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_lattice_rejects_a_non_finite_sigma(value, capsys):
+    assert cli.run(["lattice", "--lattice", "Z", "--sigma", value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"sigma must be positive and finite, got {value}" in err
+
+
+@pytest.mark.parametrize("pair, message", [
+    (["inf", "1"], "got inf and 1.0"), (["1", "nan"], "got 1.0 and nan"),
+], ids=["inf-signal", "nan-noise"])
+def test_simulate_rejects_non_finite_variances_before_the_inversion(
+        pair, message, monkeypatch, capsys):
+    _forbid_inversion(monkeypatch)
+    assert cli.run(["simulate", "--lattice", "E8", "--sigma-s2", pair[0],
+                    "--sigma-w2", pair[1], "--trials", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"sigma_s2 and sigma_w2 must be positive and finite, {message}" in err
+
+
 def test_analyze_checks_the_sandwich_eps_before_printing(capsys):
     argv = ["analyze", "--snr-grid", "1", "--n-grid", "100", "--eps", "0.5"]
     assert cli.run(argv + ["--lattices", "Z"]) == 2

@@ -331,9 +331,9 @@ def test_decode_batch_rejects_non_finite_rows(name):
 
 
 def test_budget_exceeded_names_what_the_row_needs():
-    with pytest.raises(BudgetExceeded, match=r"^enumeration in n=2 at radius 3 "
-                       r"needs 7 points at level 1, over the budget 5$"):
-        enumerate_coset(standard_lattice("A2"), np.zeros(2), 3.0, budget=5)
+    with pytest.raises(BudgetExceeded, match=r"^enumeration in n=2 at radius 1e\+07 "
+                       r"needs 23094011 points at level 1, over the budget 10000000$"):
+        enumerate_coset(standard_lattice("A2"), np.zeros(2), 1e7)
 
 
 def test_coords_of_rejects_off_lattice():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -606,6 +607,52 @@ def test_kernel_draws_one_law_as_its_repeated_row(lat, row, sigma):
     (one,) = measures.coset_blocks(lat, row[None], sigma, 1e-12)
     many = kernel_draws(lat, np.tile(row, (k, 1)), sigma, 1e-12, RngStream(6).generator(), 1)
     np.testing.assert_array_equal(one.draw(RngStream(6).generator(), k), many)
+
+
+# E8 at the scale a default `simulate --lattice E8 --snr 1` codes with
+SIMULATE_E8 = scale_lattice(standard_lattice("E8"), 4.7626 * math.sqrt(0.5))
+
+
+def split_cases():
+    gen = np.random.default_rng(12)
+    deep = np.zeros((200, 8))
+    deep[::2, 0], deep[1::2] = -0.999 * 8.0, 4.0
+    yield SIMULATE_E8, gen.normal(size=(1000, 8)) * 3, math.sqrt(0.5)
+    yield standard_lattice("Z16"), gen.normal(size=(200, 16)) * 2, 2.0
+    yield (scale_lattice(standard_lattice("D8"), 8.0),
+           deep + gen.normal(size=deep.shape) * 1e-3, 0.1)
+
+
+@pytest.mark.parametrize("lat,rows,sigma", split_cases(), ids=["E8", "Z16", "8D8"])
+def test_kernel_blocks_split_without_moving_a_bit(lat, rows, sigma, monkeypatch):
+    # every row is computed on its own, on the window of the whole batch,
+    # so many small blocks give the masses, powers, tails and draws of one
+    assert len(list(measures.coset_blocks(lat, rows, sigma, 1e-9))) == 1
+    one = batch_coset_stats(lat, rows, sigma)
+    drawn = batch_coset_sample(lat, rows, sigma, RngStream(4))[1]
+    monkeypatch.setattr(measures, "_BLOCK_ENTRIES", 2000)
+    assert len(list(measures.coset_blocks(lat, rows, sigma, 1e-9))) >= 20
+    split = batch_coset_stats(lat, rows, sigma)
+    for key in ("mass", "power", "tail"):
+        np.testing.assert_array_equal(split[key], one[key])
+    np.testing.assert_array_equal(batch_coset_sample(lat, rows, sigma, RngStream(4))[1], drawn)
+
+
+def test_a_large_batch_holds_one_block_at_a_time():
+    # 100k rows: a block holds at most _BLOCK_ENTRIES entries while it is
+    # built, and the previous block's kept arrays (fewer) live on until it
+    # is done; the batch's own arrays (anchors, reduced rows, y, centre and
+    # delta per half-coset, the outputs) take about 72 entries a row on E8,
+    # and decoding the rows fewer, rounded up here to 100
+    m = 100_000
+    rows = np.random.default_rng(0).normal(size=(m, 8)) * 3
+    tracemalloc.start()
+    try:
+        batch_coset_stats(SIMULATE_E8, rows, math.sqrt(0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * measures._BLOCK_ENTRIES + 100 * m)
 
 
 def test_effective_noise_pdf_matches_brute():
